@@ -1,5 +1,5 @@
-// Microbenchmark for the indexed-gather kernel and the column-blocked tree
-// layout. Two measurements:
+// Microbenchmark for the indexed-gather kernel and the tree-training
+// layouts. Two measurements:
 //
 //  1. Subset materialization (the rung-evaluation hot path): gather subsets
 //     of an `n x d` feature matrix at successive-halving rung sizes
@@ -11,10 +11,13 @@
 //     bound, where coalescing wins big; the 90% gather is DRAM-bandwidth-
 //     bound on most machines and reported for honesty, not headlines.
 //
-//  2. Split-scan layout (the tree-training hot path): DecisionTree::Fit on
-//     the same data with SplitLayout::kRowMajor (zero-copy strided reads
-//     through the view) versus SplitLayout::kColBlocked (gather-transpose
-//     into padded columns, then contiguous scans).
+//  2. Tree training (the tree-fit hot path), SplitLayout::kRowMajor (the
+//     reference: per-node comparator sorts over the parent rows) versus the
+//     default layout (one presorted SortedColumns index per fit, walk-or-
+//     sort node order): a single DecisionTree::Fit on blobs, then
+//     RandomForest (32 trees, depth 6, sqrt(d) features) and GbdtModel (4
+//     rounds, depth 6) fits at the a9a CASH shape — d = 80, on a rung-sized
+//     (110-row) and a fold-sized (480-row) training view.
 //
 // Emits machine-readable JSON:
 //   {"n":..,"d":..,
@@ -22,17 +25,23 @@
 //               "speedup":..},..],
 //    "headline_speedup":..,
 //    "tree":{"row_major_ms":..,"col_blocked_ms":..,"speedup":..},
+//    "ensemble":[{"model":..,"rows":..,"d":..,"row_major_ms":..,
+//                 "default_ms":..,"speedup":..},..],
 //    "simd_compiled":..,"simd_active":..}
-// headline_speedup is the fold-complement gather at the smallest rung.
-// Every timed variant is checksummed against the scalar reference; any
-// divergence aborts the bench, so the numbers can only come from
-// bit-identical work.
+// headline_speedup is the fold-complement gather at the smallest rung;
+// "col_blocked_ms" is the default layout's single-tree time. Every timed
+// gather is checksummed against the scalar reference, and every ensemble
+// fit's serialized trees and test-set predictions against the row-major
+// reference; any divergence aborts the bench, so the numbers can only come
+// from bit-identical work.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <numeric>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -40,8 +49,12 @@
 #include "common/flags.h"
 #include "common/gather.h"
 #include "common/rng.h"
+#include "data/paper_datasets.h"
 #include "data/synthetic.h"
 #include "ml/decision_tree.h"
+#include "ml/gbdt.h"
+#include "ml/random_forest.h"
+#include "ml/serialization.h"
 
 namespace bhpo {
 namespace {
@@ -91,6 +104,77 @@ std::vector<size_t> Shuffled(size_t n, size_t rows, Rng* rng) {
   std::vector<size_t> indices(rows);
   for (size_t& idx : indices) idx = rng->UniformIndex(n);
   return indices;
+}
+
+// A fitted ensemble's identity: its serialized trees and its test-set
+// class probabilities.
+struct EnsembleFit {
+  std::string serialized;
+  std::vector<double> proba;
+};
+
+template <typename ModelT, typename SaveFn>
+EnsembleFit FitEnsemble(ModelT* model, const DatasetView& train,
+                        const Matrix& test, SaveFn save) {
+  BHPO_CHECK(model->Fit(train).ok());
+  std::ostringstream out;
+  BHPO_CHECK(save(*model, out).ok());
+  return {out.str(), model->PredictProba(test).data()};
+}
+
+// One ensemble family at one training size: times both layouts and aborts
+// unless they grow identical models. Returns the JSON record.
+std::string BenchEnsemble(const char* name, const TrainTestSplit& data,
+                          size_t rows, int reps, double* sink) {
+  std::vector<size_t> first(rows);
+  std::iota(first.begin(), first.end(), 0);
+  DatasetView train(data.train, first);
+  bool forest = std::string(name) == "random_forest";
+  auto fit = [&](SplitLayout layout) {
+    if (forest) {
+      RandomForestConfig config;
+      config.num_trees = 32;
+      config.seed = 5;
+      config.tree.max_depth = 6;  // max_features 0 = sqrt(d).
+      config.tree.layout = layout;
+      RandomForest model(config);
+      return FitEnsemble(&model, train, data.test.features(),
+                         SaveRandomForest);
+    }
+    GbdtConfig config;
+    config.num_rounds = 4;
+    config.max_depth = 6;
+    config.seed = 5;
+    config.layout = layout;
+    GbdtModel model(config);
+    return FitEnsemble(&model, train, data.test.features(), SaveGbdt);
+  };
+
+  EnsembleFit reference = fit(SplitLayout::kRowMajor);
+  EnsembleFit presorted = fit(SplitLayout::kColBlocked);
+  BHPO_CHECK(reference.serialized == presorted.serialized)
+      << name << " rows " << rows << ": trees differ between layouts";
+  BHPO_CHECK(reference.proba == presorted.proba)
+      << name << " rows " << rows << ": predictions differ between layouts";
+
+  double row_major_ms = TimeMs(reps, sink, [&] {
+    return fit(SplitLayout::kRowMajor).proba[0];
+  });
+  double default_ms = TimeMs(reps, sink, [&] {
+    return fit(SplitLayout::kColBlocked).proba[0];
+  });
+  double speedup = row_major_ms / default_ms;
+  size_t d = data.train.num_features();
+  std::fprintf(stderr,
+               "%-13s rows %4zu d %zu  row-major %8.3f ms  default %8.3f ms"
+               "  %.2fx\n",
+               name, rows, d, row_major_ms, default_ms, speedup);
+  return "{\"model\": \"" + std::string(name) +
+         "\", \"rows\": " + std::to_string(rows) +
+         ", \"d\": " + std::to_string(d) +
+         ", \"row_major_ms\": " + std::to_string(row_major_ms) +
+         ", \"default_ms\": " + std::to_string(default_ms) +
+         ", \"speedup\": " + std::to_string(speedup) + "}";
 }
 
 int Main(int argc, char** argv) {
@@ -203,9 +287,20 @@ int Main(int argc, char** argv) {
   double tree_speedup = row_major_ms / col_blocked_ms;
   std::fprintf(stderr,
                "tree fit (n=%d depth=%d) row-major %8.3f ms  "
-               "col-blocked %8.3f ms  %.2fx  (sink %.3f)\n",
+               "default %8.3f ms  %.2fx  (sink %.3f)\n",
                tree_n, tree_depth, row_major_ms, col_blocked_ms, tree_speedup,
                sink);
+
+  // Ensemble fits at the a9a CASH shape: a9a x0.3 has 600 training rows
+  // and 80 features; 110 rows is an early rung, 480 a 5-fold training side.
+  TrainTestSplit a9a = MakePaperDataset("a9a", 7, 0.3).value();
+  std::string ensemble_json;
+  for (const char* model : {"random_forest", "gbdt"}) {
+    for (size_t rows : {size_t{110}, size_t{480}}) {
+      if (!ensemble_json.empty()) ensemble_json += ", ";
+      ensemble_json += BenchEnsemble(model, a9a, rows, tree_reps, &sink);
+    }
+  }
 
   std::string json =
       "{\"n\": " + std::to_string(n) + ", \"d\": " + std::to_string(d) +
@@ -214,7 +309,8 @@ int Main(int argc, char** argv) {
       ", \"tree\": {\"row_major_ms\": " + std::to_string(row_major_ms) +
       ", \"col_blocked_ms\": " + std::to_string(col_blocked_ms) +
       ", \"speedup\": " + std::to_string(tree_speedup) +
-      "}, \"simd_compiled\": " + (GatherSimdCompiled() ? "true" : "false") +
+      "}, \"ensemble\": [" + ensemble_json + "], \"simd_compiled\": " +
+      (GatherSimdCompiled() ? "true" : "false") +
       ", \"simd_active\": " + (GatherSimdActive() ? "true" : "false") + "}";
   std::printf("%s\n", json.c_str());
 

@@ -8,8 +8,9 @@
 #   3. clang-tidy       bugprone-*/concurrency-*/performance-* profile
 #                       (skipped with a note when clang-tidy is not installed)
 #   4. ASan+UBSan       cache + thread-pool + gather/layout suites
-#   5. TSan             ThreadPool / fold-parallel CV / EvalCache suites and
-#                       the contended stress test under -fsanitize=thread
+#   5. TSan             ThreadPool / fold-parallel CV / EvalCache suites,
+#                       fold-parallel tree CV and the contended stress test
+#                       under -fsanitize=thread
 #   6. faults           (--faults) the fault-tolerance suites plus the
 #                       FaultSmoke strategies re-run under a 30% mixed-fault
 #                       BHPO_FAULT storm — every bandit must finish and
@@ -81,19 +82,21 @@ if [[ "$run_asan" == 1 ]]; then
   BHPO_SIMD=off ./build-asan/tests/bhpo_common_test \
     --gtest_filter='Gather*:ColBlockMatrix*:MatrixSelectRowsGather*'
   ./build-asan/tests/bhpo_data_test --gtest_filter='GatherBitExact*'
-  ./build-asan/tests/bhpo_ml_test --gtest_filter='TreeLayoutBitExact*'
+  ./build-asan/tests/bhpo_ml_test \
+    --gtest_filter='TreeLayoutBitExact*:SortedColumns*:NonFiniteFeature*'
   ./build-asan/tests/bhpo_stress_test
 else
   echo "== ASan pass skipped =="
 fi
 
 if [[ "$run_tsan" == 1 ]]; then
-  echo "== TSan: thread-pool + fold-parallel CV + eval-cache + stress =="
+  echo "== TSan: thread-pool + fold-parallel CV + eval-cache + tree CV + stress =="
   cmake --preset tsan >/dev/null
   cmake --build build-tsan -j"$jobs" \
-    --target bhpo_common_test bhpo_cv_test bhpo_hpo_test bhpo_stress_test
+    --target bhpo_common_test bhpo_cv_test bhpo_hpo_test bhpo_ml_test \
+             bhpo_stress_test
   ctest --test-dir build-tsan --output-on-failure \
-    -R 'bhpo_tsan_(thread_pool|cv_parallel|eval_cache|stress)'
+    -R 'bhpo_tsan_(thread_pool|cv_parallel|eval_cache|tree_cv|stress)'
 else
   echo "== TSan pass skipped =="
 fi

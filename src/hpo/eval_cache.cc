@@ -65,13 +65,15 @@ void EvalCache::Insert(const Key& key, Entry entry) {
       }
     }
   }
-  if (inserted) {
-    stats_.insertions.fetch_add(1, std::memory_order_relaxed);
-    stats_.entries.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (inserted) stats_.insertions.fetch_add(1, std::memory_order_relaxed);
   if (evicted > 0) {
     stats_.evictions.fetch_add(evicted, std::memory_order_relaxed);
-    stats_.entries.fetch_sub(evicted, std::memory_order_relaxed);
+  }
+  // An insert that evicts leaves residency unchanged. Only the net +1 is
+  // applied: adding 1 and subtracting the eviction separately would let a
+  // concurrent Stats() read a count above capacity between the two.
+  if (inserted && evicted == 0) {
+    stats_.entries.fetch_add(1, std::memory_order_relaxed);
   }
 }
 

@@ -1,11 +1,8 @@
 #include "ml/decision_tree.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <numeric>
-
-#include "common/col_block_matrix.h"
 
 namespace bhpo {
 
@@ -23,13 +20,30 @@ Status DecisionTreeConfig::Validate() const {
   return Status::OK();
 }
 
+TreeTargets TreeTargets::Of(const DatasetView& train) {
+  TreeTargets targets;
+  if (train.is_classification()) {
+    targets.num_classes = train.num_classes();
+    targets.labels = train.GatherLabels();
+  } else {
+    targets.values = train.GatherTargets();
+  }
+  return targets;
+}
+
+Result<SortedColumns> BuildTreeIndex(const DatasetView& train,
+                                     SplitLayout layout) {
+  if (layout == SplitLayout::kRowMajor) return SortedColumns();
+  return SortedColumns::Build(train);
+}
+
 namespace {
 
-// Gini impurity of class counts.
-double Gini(const std::vector<double>& counts, double total) {
+// Gini impurity of class counts[0..k).
+double Gini(const double* counts, int k, double total) {
   if (total <= 0.0) return 0.0;
   double sum_sq = 0.0;
-  for (double c : counts) sum_sq += c * c;
+  for (int c = 0; c < k; ++c) sum_sq += counts[c] * counts[c];
   return 1.0 - sum_sq / (total * total);
 }
 
@@ -39,83 +53,172 @@ struct SplitCandidate {
   double score = std::numeric_limits<double>::infinity();  // Lower = better.
 };
 
-// Feature-access policies for BuildNodeImpl. Both expose the same training
-// rows; they differ in where the doubles live. The builder's decisions are
-// pure comparisons over those doubles in a fixed iteration order, so the
-// two policies grow bit-identical trees (tree_layout_bitexact_test.cc).
+size_t CeilLog2(size_t m) {
+  size_t bits = 0;
+  while ((size_t{1} << bits) < m) ++bits;
+  return bits;
+}
 
-// Indices are parent-matrix row ids; feature reads stride across rows.
-struct RowMajorAccess {
-  static constexpr bool kColumnar = false;
-  const Dataset* data;
-  size_t num_features() const { return data->num_features(); }
-  double Feature(size_t i, size_t f) const { return data->features()(i, f); }
-  const double* Column(size_t) const { return nullptr; }
-  int Label(size_t i) const { return data->label(i); }
-  double Target(size_t i) const { return data->target(i); }
+// Row-order policies for BuildNodeImpl. Per node the builder calls
+// BeginNode, then SortedBy once per candidate feature (the node's ids in
+// that feature's value order), then EndNode; Values(f) reads feature f by
+// fit-local id. Everything else — leaf payloads, the split scan, the
+// partition — is shared, so the policies can differ only in how tied
+// values are ordered.
+
+// The default: ids come in (value, fit-local id) order from the fit's
+// shared SortedColumns, with copies of one row adjacent.
+class PresortedAccess {
+ public:
+  PresortedAccess(const SortedColumns* index, uint32_t* sorted,
+                  uint64_t* keys, uint32_t* counts)
+      : index_(index), sorted_(sorted), keys_(keys), counts_(counts) {}
+
+  size_t num_features() const { return index_->cols(); }
+  const double* Values(size_t f) const { return index_->Column(f); }
+
+  void BeginNode(const uint32_t* ids, size_t n) {
+    // A walk costs one pass over the whole fit per feature; a key sort
+    // costs m log m steps, each dearer than a walk step. Walking once
+    // 2 m log m exceeds the fit's row count was the fastest cut-off timed
+    // on full-depth trees and on depth-6 forests and GBDT (DESIGN.md §9);
+    // always sorting was 1.4-4x slower, and always walking is quadratic in
+    // the node count of deep trees.
+    walk_ = 2 * n * CeilLog2(n) > index_->rows();
+    if (walk_) {
+      for (size_t i = 0; i < n; ++i) ++counts_[ids[i]];
+    }
+  }
+
+  const uint32_t* SortedBy(size_t f, const uint32_t* ids, size_t n) {
+    uint32_t* out = sorted_;
+    if (walk_) {
+      // Emit each fit row as many times as it occurs in the node.
+      const uint32_t* order = index_->Order(f);
+      size_t k = 0;
+      for (size_t p = 0; k < n; ++p) {
+        uint32_t id = order[p];
+        for (uint32_t c = counts_[id]; c > 0; --c) out[k++] = id;
+      }
+    } else {
+      // Dense ranks ascend with value, so sorting (rank << 32 | id) keys
+      // yields the same (value, id) order as the walk.
+      const uint32_t* rank = index_->Rank(f);
+      for (size_t i = 0; i < n; ++i) {
+        keys_[i] = (uint64_t{rank[ids[i]]} << 32) | ids[i];
+      }
+      std::sort(keys_, keys_ + n);
+      for (size_t i = 0; i < n; ++i) out[i] = static_cast<uint32_t>(keys_[i]);
+    }
+    return out;
+  }
+
+  void EndNode(const uint32_t* ids, size_t n) {
+    if (walk_) {
+      for (size_t i = 0; i < n; ++i) counts_[ids[i]] = 0;
+    }
+  }
+
+ private:
+  const SortedColumns* index_;
+  uint32_t* sorted_;
+  uint64_t* keys_;
+  uint32_t* counts_;
+  bool walk_ = false;
 };
 
-// Indices are local row ids 0..n-1 over gathered training rows; feature
-// reads walk one contiguous column at a time.
-struct ColBlockAccess {
-  static constexpr bool kColumnar = true;
-  const ColBlockMatrix* features;
-  const std::vector<int>* labels;      // Classification only.
-  const std::vector<double>* targets;  // Regression only.
-  size_t num_features() const { return features->cols(); }
-  double Feature(size_t i, size_t f) const { return features->Column(f)[i]; }
-  const double* Column(size_t f) const { return features->Column(f); }
-  int Label(size_t i) const { return (*labels)[i]; }
-  double Target(size_t i) const { return (*targets)[i]; }
+// The reference: a node's ids are copied once and re-sorted in place for
+// each candidate feature by comparing values read from the parent
+// row-major matrix, so tied rows come in introsort's order. No index; the
+// bit-exactness tests and bench/micro_gather compare the default against
+// it.
+class RowMajorAccess {
+ public:
+  // Feature f of fit-local rows, read through the parent matrix.
+  struct Column {
+    const Matrix* features;
+    const size_t* parent_rows;
+    size_t f;
+    double operator[](uint32_t id) const {
+      return (*features)(parent_rows[id], f);
+    }
+  };
+
+  RowMajorAccess(const Matrix* features, const size_t* parent_rows,
+                 uint32_t* scratch)
+      : features_(features), parent_rows_(parent_rows), scratch_(scratch) {}
+
+  size_t num_features() const { return features_->cols(); }
+  Column Values(size_t f) const { return {features_, parent_rows_, f}; }
+
+  void BeginNode(const uint32_t* ids, size_t n) {
+    std::copy(ids, ids + n, scratch_);
+  }
+
+  const uint32_t* SortedBy(size_t f, const uint32_t*, size_t n) {
+    Column value = Values(f);
+    std::sort(scratch_, scratch_ + n,
+              [&](uint32_t a, uint32_t b) { return value[a] < value[b]; });
+    return scratch_;
+  }
+
+  void EndNode(const uint32_t*, size_t) {}
+
+ private:
+  const Matrix* features_;
+  const size_t* parent_rows_;
+  uint32_t* scratch_;
 };
 
 }  // namespace
 
 template <typename Access>
-int DecisionTree::BuildNodeImpl(const Access& access,
-                                std::vector<size_t>* indices, size_t begin,
-                                size_t end, int depth, Rng* rng) {
-  size_t n = end - begin;
+int DecisionTree::BuildNodeImpl(Access& access, const TreeTargets& targets,
+                                TreeWorkspace* ws, uint32_t* ids, size_t n,
+                                int depth, Rng* rng) {
   BHPO_CHECK_GT(n, 0u);
   depth_ = std::max(depth_, depth);
 
   int node_id = static_cast<int>(nodes_.size());
   nodes_.emplace_back();
 
-  // Leaf payload (always computed; interior nodes keep it empty later).
-  std::vector<double> leaf_value;
+  // Leaf payload (always computed; only leaves keep it).
+  std::vector<double>& leaf_value = ws->leaf_;
   bool pure = true;
   if (task_ == Task::kClassification) {
+    const int* labels = targets.labels.data();
     leaf_value.assign(num_classes_, 0.0);
-    int first = access.Label((*indices)[begin]);
-    for (size_t i = begin; i < end; ++i) {
-      int y = access.Label((*indices)[i]);
+    int first = labels[ids[0]];
+    for (size_t i = 0; i < n; ++i) {
+      int y = labels[ids[i]];
       leaf_value[y] += 1.0;
       pure &= y == first;
     }
     for (double& v : leaf_value) v /= static_cast<double>(n);
   } else {
+    const double* values = targets.values.data();
     double mean = 0.0;
-    double first = access.Target((*indices)[begin]);
-    for (size_t i = begin; i < end; ++i) {
-      double y = access.Target((*indices)[i]);
+    double first = values[ids[0]];
+    for (size_t i = 0; i < n; ++i) {
+      double y = values[ids[i]];
       mean += y;
       pure &= y == first;
     }
-    leaf_value = {mean / static_cast<double>(n)};
+    leaf_value.assign(1, mean / static_cast<double>(n));
   }
 
   bool depth_capped = config_.max_depth > 0 && depth >= config_.max_depth;
   if (pure || depth_capped ||
       n < static_cast<size_t>(config_.min_samples_split) ||
       n < 2 * static_cast<size_t>(config_.min_samples_leaf)) {
-    nodes_[node_id].value = std::move(leaf_value);
+    nodes_[node_id].value = leaf_value;
     return node_id;
   }
 
   // Candidate features: all, or a random subset of max_features.
   size_t num_features = access.num_features();
-  std::vector<size_t> features(num_features);
+  std::vector<size_t>& features = ws->features_;
+  features.resize(num_features);
   std::iota(features.begin(), features.end(), 0);
   if (config_.max_features > 0 &&
       static_cast<size_t>(config_.max_features) < num_features) {
@@ -123,66 +226,56 @@ int DecisionTree::BuildNodeImpl(const Access& access,
     features.resize(config_.max_features);
   }
 
-  // Best split search over sorted feature values with prefix statistics.
+  // Best split search over each feature's sorted rows with prefix
+  // statistics.
   SplitCandidate best;
-  std::vector<size_t> scratch(indices->begin() + begin,
-                              indices->begin() + end);
   size_t min_leaf = static_cast<size_t>(config_.min_samples_leaf);
-
+  access.BeginNode(ids, n);
   for (size_t f : features) {
-    // Columnar layouts hoist the feature's base pointer out of the sort
-    // comparator and the scan; the row-major baseline reads through the
-    // (r, c) accessor exactly as before.
-    [[maybe_unused]] const double* col = nullptr;
-    if constexpr (Access::kColumnar) col = access.Column(f);
-    auto feat = [&](size_t idx) {
-      if constexpr (Access::kColumnar) {
-        return col[idx];
-      } else {
-        return access.Feature(idx, f);
-      }
-    };
-    std::sort(scratch.begin(), scratch.end(),
-              [&](size_t a, size_t b) { return feat(a) < feat(b); });
+    const uint32_t* sorted = access.SortedBy(f, ids, n);
+    auto value = access.Values(f);
 
     if (task_ == Task::kClassification) {
-      std::vector<double> left_counts(num_classes_, 0.0);
-      std::vector<double> right_counts(num_classes_, 0.0);
-      for (size_t i = 0; i < n; ++i) {
-        right_counts[access.Label(scratch[i])] += 1.0;
-      }
+      const int* labels = targets.labels.data();
+      double* left_counts = ws->class_counts_.data();
+      double* right_counts = left_counts + num_classes_;
+      std::fill(left_counts, left_counts + 2 * num_classes_, 0.0);
+      for (size_t i = 0; i < n; ++i) right_counts[labels[sorted[i]]] += 1.0;
       for (size_t i = 0; i + 1 < n; ++i) {
-        int y = access.Label(scratch[i]);
+        int y = labels[sorted[i]];
         left_counts[y] += 1.0;
         right_counts[y] -= 1.0;
-        double lo = feat(scratch[i]);
-        double hi = feat(scratch[i + 1]);
+        double lo = value[sorted[i]];
+        double hi = value[sorted[i + 1]];
         if (lo == hi) continue;  // No valid threshold between equal values.
         size_t n_left = i + 1, n_right = n - n_left;
         if (n_left < min_leaf || n_right < min_leaf) continue;
         double score =
-            static_cast<double>(n_left) * Gini(left_counts, n_left) +
-            static_cast<double>(n_right) * Gini(right_counts, n_right);
+            static_cast<double>(n_left) *
+                Gini(left_counts, num_classes_, n_left) +
+            static_cast<double>(n_right) *
+                Gini(right_counts, num_classes_, n_right);
         if (score < best.score) {
           best = {static_cast<int>(f), (lo + hi) / 2.0, score};
         }
       }
     } else {
+      const double* values = targets.values.data();
       double right_sum = 0.0, right_sq = 0.0;
       for (size_t i = 0; i < n; ++i) {
-        double y = access.Target(scratch[i]);
+        double y = values[sorted[i]];
         right_sum += y;
         right_sq += y * y;
       }
       double left_sum = 0.0, left_sq = 0.0;
       for (size_t i = 0; i + 1 < n; ++i) {
-        double y = access.Target(scratch[i]);
+        double y = values[sorted[i]];
         left_sum += y;
         left_sq += y * y;
         right_sum -= y;
         right_sq -= y * y;
-        double lo = feat(scratch[i]);
-        double hi = feat(scratch[i + 1]);
+        double lo = value[sorted[i]];
+        double hi = value[sorted[i + 1]];
         if (lo == hi) continue;
         size_t n_left = i + 1, n_right = n - n_left;
         if (n_left < min_leaf || n_right < min_leaf) continue;
@@ -195,33 +288,36 @@ int DecisionTree::BuildNodeImpl(const Access& access,
       }
     }
   }
+  access.EndNode(ids, n);
 
   if (best.feature < 0) {
     // No valid split (e.g. all features constant): leaf.
-    nodes_[node_id].value = std::move(leaf_value);
+    nodes_[node_id].value = leaf_value;
     return node_id;
   }
 
-  // Partition [begin, end) by the chosen split.
-  [[maybe_unused]] const double* best_col = nullptr;
-  if constexpr (Access::kColumnar) best_col = access.Column(best.feature);
-  auto middle = std::stable_partition(
-      indices->begin() + begin, indices->begin() + end, [&](size_t idx) {
-        if constexpr (Access::kColumnar) {
-          return best_col[idx] <= best.threshold;
-        } else {
-          return access.Feature(idx, best.feature) <= best.threshold;
-        }
-      });
-  size_t split_point = static_cast<size_t>(middle - indices->begin());
-  BHPO_CHECK(split_point > begin && split_point < end);
+  // Stable partition of the node's ids by the chosen split: left rows keep
+  // their order in place, right rows spill and follow in order.
+  auto value = access.Values(static_cast<size_t>(best.feature));
+  uint32_t* spill = ws->spill_.data();
+  size_t n_left = 0, n_right = 0;
+  for (size_t i = 0; i < n; ++i) {
+    uint32_t id = ids[i];
+    if (value[id] <= best.threshold) {
+      ids[n_left++] = id;
+    } else {
+      spill[n_right++] = id;
+    }
+  }
+  std::copy(spill, spill + n_right, ids + n_left);
+  BHPO_CHECK(n_left > 0 && n_left < n);
 
   nodes_[node_id].feature = best.feature;
   nodes_[node_id].threshold = best.threshold;
   int left =
-      BuildNodeImpl(access, indices, begin, split_point, depth + 1, rng);
-  int right =
-      BuildNodeImpl(access, indices, split_point, end, depth + 1, rng);
+      BuildNodeImpl(access, targets, ws, ids, n_left, depth + 1, rng);
+  int right = BuildNodeImpl(access, targets, ws, ids + n_left, n_right,
+                            depth + 1, rng);
   nodes_[node_id].left = left;
   nodes_[node_id].right = right;
   return node_id;
@@ -232,38 +328,59 @@ Status DecisionTree::Fit(const DatasetView& train) {
   if (!train.valid() || train.n() == 0) {
     return Status::InvalidArgument("cannot fit on an empty dataset");
   }
-  task_ = train.task();
-  num_classes_ = train.is_classification() ? train.num_classes() : 0;
+  BHPO_ASSIGN_OR_RETURN(SortedColumns index,
+                        BuildTreeIndex(train, config_.layout));
+  std::vector<uint32_t> ids(train.n());
+  std::iota(ids.begin(), ids.end(), 0);
+  TreeWorkspace workspace;
+  return FitRows(train, index, ids, TreeTargets::Of(train), &workspace);
+}
+
+Status DecisionTree::FitRows(const DatasetView& train,
+                             const SortedColumns& index,
+                             const std::vector<uint32_t>& ids,
+                             const TreeTargets& targets,
+                             TreeWorkspace* workspace) {
+  BHPO_RETURN_NOT_OK(config_.Validate());
+  if (!train.valid() || train.n() == 0 || ids.empty()) {
+    return Status::InvalidArgument("cannot fit on an empty dataset");
+  }
+  size_t n_fit = train.n();
+  if (n_fit > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument("too many rows for a 32-bit row id");
+  }
+  task_ = targets.num_classes > 0 ? Task::kClassification : Task::kRegression;
+  num_classes_ = targets.num_classes;
+  BHPO_CHECK_EQ(task_ == Task::kClassification ? targets.labels.size()
+                                               : targets.values.size(),
+                n_fit);
+  for (uint32_t id : ids) BHPO_CHECK_LT(id, n_fit);
   nodes_.clear();
   depth_ = 0;
   Rng rng(config_.seed);
-  size_t n = train.n();
 
+  size_t m = ids.size();
+  workspace->rows_.assign(ids.begin(), ids.end());
+  workspace->sorted_.resize(m);
+  workspace->spill_.resize(m);
+  workspace->class_counts_.resize(2 * static_cast<size_t>(num_classes_));
   if (config_.layout == SplitLayout::kRowMajor) {
-    // Zero-copy baseline: build over the view's parent indices and read
-    // rows from the parent matrix in place; split search only ever
-    // compares feature values, so the result is identical to fitting a
-    // materialized copy.
-    std::vector<size_t> indices(n);
-    for (size_t i = 0; i < n; ++i) indices[i] = train.parent_index(i);
-    RowMajorAccess access{&train.parent()};
-    BuildNodeImpl(access, &indices, 0, n, 0, &rng);
+    BHPO_RETURN_NOT_OK(CheckFiniteFeatures(train));
+    std::vector<size_t> parent_rows(n_fit);
+    for (size_t i = 0; i < n_fit; ++i) parent_rows[i] = train.parent_index(i);
+    RowMajorAccess access(&train.parent().features(), parent_rows.data(),
+                          workspace->sorted_.data());
+    BuildNodeImpl(access, targets, workspace, workspace->rows_.data(), m, 0,
+                  &rng);
   } else {
-    // Column-blocked path: gather-transpose the training rows once, then
-    // every split scan streams contiguous columns. Labels/targets are
-    // gathered alongside so all builder reads are local-id indexed.
-    ColBlockMatrix columns = train.GatherFeatureColumns();
-    std::vector<int> labels;
-    std::vector<double> targets;
-    if (task_ == Task::kClassification) {
-      labels = train.GatherLabels();
-    } else {
-      targets = train.GatherTargets();
-    }
-    std::vector<size_t> indices(n);
-    std::iota(indices.begin(), indices.end(), 0);
-    ColBlockAccess access{&columns, &labels, &targets};
-    BuildNodeImpl(access, &indices, 0, n, 0, &rng);
+    BHPO_CHECK(index.rows() == n_fit && index.cols() == train.num_features())
+        << "FitRows needs the fit's BuildTreeIndex";
+    workspace->keys_.resize(m);
+    workspace->counts_.assign(n_fit, 0);
+    PresortedAccess access(&index, workspace->sorted_.data(),
+                           workspace->keys_.data(), workspace->counts_.data());
+    BuildNodeImpl(access, targets, workspace, workspace->rows_.data(), m, 0,
+                  &rng);
   }
   fitted_ = true;
   return Status::OK();

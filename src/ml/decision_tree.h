@@ -9,23 +9,31 @@
 #include "common/rng.h"
 #include "data/dataset.h"
 #include "ml/model.h"
+#include "ml/sorted_columns.h"
 
 namespace bhpo {
 
-// Feature storage the split search scans during training. Both layouts
-// produce bit-identical trees (same comparisons over the same doubles, in
-// the same order — locked down by tests/ml/tree_layout_bitexact_test.cc);
-// they differ only in memory traffic.
+// How the split search gets a node's rows in feature order during
+// training. The layouts differ only in the order of rows with tied values,
+// which a classification split cannot see (it depends only on class counts
+// at value boundaries) and a regression split can see only when distinct
+// rows share a value (copies of one row carry one target). Outside that
+// case they grow bit-identical trees — locked down by
+// tests/ml/tree_layout_bitexact_test.cc.
 enum class SplitLayout {
-  // Gather-transpose the training rows into a ColBlockMatrix once per fit,
-  // then scan contiguous per-feature columns. The default: split search is
-  // O(depth * n * features) passes over the data, so paying one O(n * d)
-  // transpose to make every pass stream instead of stride wins everywhere
-  // past trivial sizes.
+  // The default: a SortedColumns index (ml/sorted_columns.h) built once per
+  // ensemble fit — columns gathered column-blocked, each feature's rows
+  // presorted by (value, fit-local id), and each row's dense rank — shared
+  // by every tree of the fit. A node takes its rows in feature order from
+  // the index: a walk over the presorted order when the node is large
+  // (2 * m * ceil(log2 m) > fit rows), else a sort of packed (rank << 32 |
+  // id) integer keys. Tied rows therefore come in fit-local id order.
   kColBlocked,
-  // Historical zero-copy path: read feature values straight out of the
-  // parent row-major matrix (cache line per element during scans). Kept as
-  // the baseline the bit-exactness suite compares against.
+  // The reference: no index; every node copies its row ids and sorts them
+  // per candidate feature with a comparator over the parent row-major
+  // matrix (introsort, so tied rows come in an unspecified but
+  // deterministic order). Kept as the baseline the bit-exactness suite and
+  // bench/micro_gather compare against.
   kRowMajor,
 };
 
@@ -48,6 +56,41 @@ struct DecisionTreeConfig {
   Status Validate() const;
 };
 
+// Targets of one fit's training rows, indexed by fit-local row id (row i of
+// the fit's training view). num_classes > 0 trains a classifier on
+// `labels`; otherwise a regressor on `values` (a GBDT writes its residuals
+// there each round).
+struct TreeTargets {
+  int num_classes = 0;
+  std::vector<int> labels;
+  std::vector<double> values;
+
+  // The view's own labels (classification) or targets (regression).
+  static TreeTargets Of(const DatasetView& train);
+};
+
+// The SortedColumns a fit under `layout` trains on: the view's index for
+// the default layout, an empty one for kRowMajor (which reads the parent
+// matrix instead). Every tree-growing Fit builds its index here, once.
+Result<SortedColumns> BuildTreeIndex(const DatasetView& train,
+                                     SplitLayout layout);
+
+// Scratch buffers for growing trees; one per ensemble fit, reused by each
+// of its trees in turn, so node splits allocate nothing. Not shareable
+// between concurrent fits.
+class TreeWorkspace {
+ private:
+  friend class DecisionTree;
+  std::vector<uint32_t> rows_;       // The tree's ids, partitioned by node.
+  std::vector<uint32_t> sorted_;     // A node's ids in feature order.
+  std::vector<uint32_t> spill_;      // Right side of a stable partition.
+  std::vector<uint64_t> keys_;       // Packed (rank << 32 | id) sort keys.
+  std::vector<uint32_t> counts_;     // Per-fit-id multiplicity (walks).
+  std::vector<size_t> features_;     // Candidate features of a node.
+  std::vector<double> class_counts_; // Left then right class counts.
+  std::vector<double> leaf_;         // Leaf payload under construction.
+};
+
 class DecisionTree : public Model {
  public:
   explicit DecisionTree(DecisionTreeConfig config = {})
@@ -57,8 +100,17 @@ class DecisionTree : public Model {
   using Model::PredictLabels;
   using Model::PredictValues;
 
-  // Trains over the view's index table directly; no feature row is copied.
+  // Standalone fit: builds the view's SortedColumns (default layout) and
+  // trains on all of its rows.
   Status Fit(const DatasetView& train) override;
+
+  // Ensemble entry point: trains on fit-local rows `ids` of `train` (repeats
+  // allowed — a bootstrap bag; a GBDT subsample) with `targets` indexed by
+  // fit-local id. `index` is the fit's shared BuildTreeIndex(train,
+  // layout).
+  Status FitRows(const DatasetView& train, const SortedColumns& index,
+                 const std::vector<uint32_t>& ids, const TreeTargets& targets,
+                 TreeWorkspace* workspace);
   std::vector<int> PredictLabels(const Matrix& features) const override;
   std::vector<double> PredictValues(const Matrix& features) const override;
 
@@ -90,13 +142,13 @@ class DecisionTree : public Model {
     std::vector<double> value;
   };
 
-  // Recursive builder, templated on the feature-access policy (row-major
-  // over the parent matrix, or column-blocked over gathered training rows;
-  // both defined in decision_tree.cc). `indices` entries live in the access
-  // policy's row space.
+  // Recursive builder over the node's fit-local ids `ids[0..n)`, templated
+  // on how a node's rows are put in feature order (the presorted index or
+  // the row-major reference; both defined in decision_tree.cc).
   template <typename Access>
-  int BuildNodeImpl(const Access& access, std::vector<size_t>* indices,
-                    size_t begin, size_t end, int depth, Rng* rng);
+  int BuildNodeImpl(Access& access, const TreeTargets& targets,
+                    TreeWorkspace* ws, uint32_t* ids, size_t n, int depth,
+                    Rng* rng);
   const Node& Descend(const double* row) const;
 
   DecisionTreeConfig config_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "common/rng.h"
 #include "ml/activations.h"
@@ -30,27 +31,20 @@ Status GbdtConfig::Validate() const {
 
 namespace {
 
-// Regression tree fit to pseudo-residuals over a row subset. The stage
-// dataset owns new targets (the residuals), so gathering the subset's
-// feature rows is inherent here; everything else in the fit stays on the
-// view.
+// Regression tree fit to the pseudo-residuals in `residuals.values` over
+// fit-local rows `rows`, on the fit's shared index.
 Result<std::unique_ptr<DecisionTree>> FitResidualTree(
-    const DatasetView& train, const std::vector<double>& residuals,
-    const std::vector<size_t>& rows, const GbdtConfig& config,
-    uint64_t seed) {
-  Matrix x = train.ViewOf(rows).GatherFeatures();
-  std::vector<double> y;
-  y.reserve(rows.size());
-  for (size_t r : rows) y.push_back(residuals[r]);
-  BHPO_ASSIGN_OR_RETURN(Dataset stage_data,
-                        Dataset::Regression(std::move(x), std::move(y)));
+    const DatasetView& train, const SortedColumns& index,
+    const TreeTargets& residuals, const std::vector<uint32_t>& rows,
+    const GbdtConfig& config, uint64_t seed, TreeWorkspace* workspace) {
   DecisionTreeConfig tree_config;
   tree_config.max_depth = config.max_depth;
   tree_config.min_samples_leaf = config.min_samples_leaf;
   tree_config.seed = seed;
   tree_config.layout = config.layout;
   auto tree = std::make_unique<DecisionTree>(tree_config);
-  BHPO_RETURN_NOT_OK(tree->Fit(stage_data));
+  BHPO_RETURN_NOT_OK(
+      tree->FitRows(train, index, rows, residuals, workspace));
   return tree;
 }
 
@@ -92,18 +86,26 @@ Status GbdtModel::Fit(const DatasetView& train) {
     for (size_t k = 0; k < outputs; ++k) scores(i, k) = base_score_[k];
   }
 
-  std::vector<double> residuals(n);
+  // Every residual tree of the fit trains on one presorted index; only the
+  // residual targets change between trees.
+  BHPO_ASSIGN_OR_RETURN(SortedColumns index,
+                        BuildTreeIndex(train, config_.layout));
+  TreeTargets residual_targets;
+  residual_targets.values.resize(n);
+  std::vector<double>& residuals = residual_targets.values;
+  TreeWorkspace workspace;
   size_t rows_per_round = std::max<size_t>(
       2, static_cast<size_t>(config_.subsample * static_cast<double>(n)));
 
   for (int round = 0; round < config_.num_rounds; ++round) {
-    std::vector<size_t> rows =
-        rows_per_round >= n ? [n] {
-          std::vector<size_t> all(n);
-          for (size_t i = 0; i < n; ++i) all[i] = i;
-          return all;
-        }()
-                            : rng.SampleWithoutReplacement(n, rows_per_round);
+    std::vector<uint32_t> rows(std::min(rows_per_round, n));
+    if (rows_per_round >= n) {
+      std::iota(rows.begin(), rows.end(), 0);
+    } else {
+      std::vector<size_t> sample =
+          rng.SampleWithoutReplacement(n, rows_per_round);
+      std::copy(sample.begin(), sample.end(), rows.begin());
+    }
 
     std::vector<std::unique_ptr<DecisionTree>> stage;
     if (train.is_classification()) {
@@ -117,8 +119,8 @@ Status GbdtModel::Fit(const DatasetView& train) {
         }
         BHPO_ASSIGN_OR_RETURN(
             std::unique_ptr<DecisionTree> tree,
-            FitResidualTree(train, residuals, rows, config_,
-                            rng.engine()()));
+            FitResidualTree(train, index, residual_targets, rows, config_,
+                            rng.engine()(), &workspace));
         std::vector<double> update = tree->PredictValues(train);
         for (size_t i = 0; i < n; ++i) {
           scores(i, k) += config_.learning_rate * update[i];
@@ -131,8 +133,8 @@ Status GbdtModel::Fit(const DatasetView& train) {
       }
       BHPO_ASSIGN_OR_RETURN(
           std::unique_ptr<DecisionTree> tree,
-          FitResidualTree(train, residuals, rows, config_,
-                          rng.engine()()));
+          FitResidualTree(train, index, residual_targets, rows, config_,
+                          rng.engine()(), &workspace));
       std::vector<double> update = tree->PredictValues(train);
       for (size_t i = 0; i < n; ++i) {
         scores(i, 0) += config_.learning_rate * update[i];

@@ -25,8 +25,7 @@ struct GbdtConfig {
   // Fraction of rows used per round; 1.0 = all (plain gradient boosting).
   double subsample = 1.0;
   uint64_t seed = 0;
-  // Feature layout the stage trees scan during training (bit-identical
-  // either way; see SplitLayout).
+  // How the stage trees order rows during training (see SplitLayout).
   SplitLayout layout = SplitLayout::kColBlocked;
 
   Status Validate() const;
@@ -40,8 +39,10 @@ class GbdtModel : public Model {
   using Model::PredictLabels;
   using Model::PredictValues;
 
-  // Residual trees gather only the (possibly subsampled) rows they train
-  // on; per-round score updates walk the view row-wise without copying.
+  // Builds one SortedColumns index over `train`; every residual tree trains
+  // on it through a list of (possibly subsampled) fit-local row ids with
+  // the residuals indexed by id. Per-round score updates walk the view
+  // row-wise without copying.
   Status Fit(const DatasetView& train) override;
   std::vector<int> PredictLabels(const Matrix& features) const override;
   std::vector<double> PredictValues(const Matrix& features) const override;

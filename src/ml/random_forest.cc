@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "common/rng.h"
 
@@ -32,19 +33,24 @@ Status RandomForest::Fit(const DatasetView& train) {
                                                       : d / 3.0));
   }
 
+  // One presorted index and one target table serve every tree: bags are
+  // lists of fit-local row ids, so no tree gathers or sorts the fold again.
+  BHPO_ASSIGN_OR_RETURN(SortedColumns index,
+                        BuildTreeIndex(train, tree_config.layout));
+  TreeTargets targets = TreeTargets::Of(train);
+  TreeWorkspace workspace;
+  size_t n = train.n();
+  std::vector<uint32_t> bag(n);
+  std::iota(bag.begin(), bag.end(), 0);
+
   Rng rng(config_.seed);
   for (int t = 0; t < config_.num_trees; ++t) {
-    DatasetView bag = train;
     if (config_.bootstrap) {
-      std::vector<size_t> sample(train.n());
-      for (size_t i = 0; i < train.n(); ++i) {
-        sample[i] = rng.UniformIndex(train.n());
-      }
-      bag = train.ViewOf(sample);  // Index composition, no row copies.
+      for (uint32_t& id : bag) id = static_cast<uint32_t>(rng.UniformIndex(n));
     }
     tree_config.seed = rng.engine()();
     auto tree = std::make_unique<DecisionTree>(tree_config);
-    BHPO_RETURN_NOT_OK(tree->Fit(bag));
+    BHPO_RETURN_NOT_OK(tree->FitRows(train, index, bag, targets, &workspace));
     trees_.push_back(std::move(tree));
   }
   fitted_ = true;

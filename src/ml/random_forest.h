@@ -34,8 +34,8 @@ class RandomForest : public Model {
   using Model::PredictLabels;
   using Model::PredictValues;
 
-  // Bootstrap bags are index compositions over the view's parent; no
-  // feature row is copied anywhere in the fit.
+  // Builds one SortedColumns index over `train` and grows every tree on it;
+  // a tree's bootstrap bag is a list of fit-local row ids.
   Status Fit(const DatasetView& train) override;
   std::vector<int> PredictLabels(const Matrix& features) const override;
   std::vector<double> PredictValues(const Matrix& features) const override;

@@ -57,8 +57,13 @@ TEST(FoldSetTest, ComplementOfCoversEverythingElse) {
 
 // Both builders must produce a partition of the subset. Parameterized over
 // k and subset size.
+//
+// gtest names a parameter that has no printer by dumping its bytes, so
+// BuilderCase must have no padding: a bool flag would leave seven
+// uninitialized bytes in the dump, and the case names would change from
+// build to build. The flag is therefore as wide as a size_t.
 struct BuilderCase {
-  bool stratified;
+  size_t stratified;  // 0 or 1.
   size_t k;
   size_t subset_size;
 };

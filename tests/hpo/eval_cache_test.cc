@@ -159,12 +159,16 @@ TEST(EvalCacheTest, HitRateAggregatesBothGranularities) {
 // preset (scripts/check.sh) this also proves data-race freedom on the
 // shard maps and the stats block.
 TEST(EvalCacheTest, ConcurrentInsertAndLookupAreSafe) {
+  // Capacity is enforced per shard (capacity / shards each), and hashing
+  // need not spread the keys evenly, so each shard gets room for the whole
+  // keyspace (17 * 5 * 3 = 255 keys): no insert can evict another key.
   EvalCacheOptions options;
-  options.capacity = 256;
   options.shards = 4;
+  options.capacity = 256 * options.shards;
   EvalCache cache(options);
   ThreadPool pool(8);
   constexpr size_t kOps = 2000;
+  constexpr size_t kKeys = 17 * 5 * 3;
   pool.ParallelFor(kOps, [&](size_t i) {
     uint64_t config = i % 17;
     uint64_t subset = i % 5;
@@ -173,13 +177,13 @@ TEST(EvalCacheTest, ConcurrentInsertAndLookupAreSafe) {
     cache.InsertFold(config, subset, fold, {score, false});
     std::optional<EvalCache::FoldScore> hit =
         cache.LookupFold(config, subset, fold);
-    // The key was just inserted; capacity (256) exceeds the keyspace
-    // (17*5*3), so it cannot have been evicted.
+    // The key was just inserted and nothing is ever evicted.
     ASSERT_TRUE(hit.has_value());
     EXPECT_DOUBLE_EQ(hit->score, score);
   });
   EvalCacheStats stats = cache.Stats();
-  EXPECT_LE(stats.entries, 256u);
+  EXPECT_EQ(stats.entries, kKeys);
+  EXPECT_EQ(stats.evictions, 0u);
   EXPECT_EQ(stats.fold_hits, kOps);
 }
 
