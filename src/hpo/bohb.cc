@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace bhpo {
 
@@ -69,9 +70,10 @@ Configuration TpeConfigSampler::Sample(Rng* rng) {
   normalize(&good_pmf);
   normalize(&bad_pmf);
 
-  // Draw candidates from l(x) and keep the best l/g ratio.
+  // Draw candidates from l(x) and keep the best l/g ratio. Starting at -inf
+  // keeps the first candidate even when every log ratio is very negative.
   Configuration best;
-  double best_ratio = -1.0;
+  double best_ratio = -std::numeric_limits<double>::infinity();
   for (size_t c = 0; c < options_.num_candidates; ++c) {
     Configuration candidate;
     double log_ratio = 0.0;

@@ -61,6 +61,34 @@ TEST(TpeSamplerTest, LearnsToPreferGoodValues) {
   EXPECT_GT(best_picked, kDraws / 2);
 }
 
+TEST(TpeSamplerTest, StronglyDisfavoredCandidateIsStillAFullConfig) {
+  // One binary hyperparameter, 2 "a" winners vs 10 "b" losers: l/g gives
+  // "b" a log ratio of about -1.3, so a lone "b" candidate is the best (and
+  // only) one and must be returned as-is, never as an empty configuration.
+  ConfigSpace space;
+  ASSERT_TRUE(space.Add("arm", {"a", "b"}).ok());
+  TpeOptions options;
+  options.num_candidates = 1;
+  options.random_fraction = 0.0;
+  options.top_fraction = 0.1;
+  TpeConfigSampler sampler(&space, options);
+  Configuration a, b;
+  a.Set("arm", "a");
+  b.Set("arm", "b");
+  for (int i = 0; i < 2; ++i) sampler.Observe(a, 0.9, 100);
+  for (int i = 0; i < 10; ++i) sampler.Observe(b, 0.1, 100);
+  ASSERT_EQ(sampler.ModelBudget(), 100u);
+
+  Rng rng(5);
+  std::set<std::string> seen;
+  for (int i = 0; i < 200; ++i) {
+    Configuration c = sampler.Sample(&rng);
+    ASSERT_TRUE(c.Has("arm")) << "sample " << i << " is empty";
+    seen.insert(c.Get("arm").value());
+  }
+  EXPECT_EQ(seen.size(), 2u);
+}
+
 TEST(TpeSamplerTest, RandomFractionKeepsExploring) {
   ConfigSpace space = QualitySpace(4);
   TpeOptions options;
