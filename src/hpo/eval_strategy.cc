@@ -118,6 +118,48 @@ void StoreComputedFolds(EvalCache* cache, uint64_t config_hash,
   }
 }
 
+// The tail both strategies share once the subset (of `b` instances) and its
+// folds are fixed: per-evaluation model factory, cached-fold injection,
+// CrossValidate, the result, fold storage. The score is the fold mean when
+// `scoring` is null (vanilla), ScoreOutcome otherwise: Equation 3 when
+// scoring->use_variance is set (the full method), plain mean otherwise (the
+// Figure 7 ablation).
+Result<EvalResult> CrossValidateSubset(const Configuration& config,
+                                       const Dataset& train,
+                                       const FoldSet& folds, size_t b,
+                                       uint64_t subset_id,
+                                       const StrategyOptions& options,
+                                       const ScoringOptions* scoring,
+                                       Rng* rng) {
+  uint64_t config_hash = config.Hash();
+  BHPO_ASSIGN_OR_RETURN(
+      FoldModelFactory factory,
+      MakeFoldModelFactory(config, PerEvalFactory(options.factory, rng)));
+  CvOptions cv_options;
+  cv_options.metric = options.metric;
+  cv_options.pool = options.cv_pool;
+  cv_options.guard = options.guard;
+  cv_options.faults = options.faults;
+  cv_options.fault_site = subset_id;
+  std::vector<bool> injected = InjectCachedFolds(
+      options.cache, config_hash, subset_id, folds.num_folds(), &cv_options);
+  BHPO_ASSIGN_OR_RETURN(
+      CvOutcome cv,
+      CrossValidate(DatasetView(train), folds, factory, cv_options));
+
+  EvalResult result;
+  result.cv = std::move(cv);
+  result.budget_used = b;
+  result.gamma_percent =
+      100.0 * static_cast<double>(b) / static_cast<double>(train.n());
+  result.score = scoring == nullptr
+                     ? result.cv.mean
+                     : ScoreOutcome(result.cv, result.gamma_percent, *scoring);
+  StoreComputedFolds(options.cache, config_hash, subset_id, injected,
+                     &result);
+  return result;
+}
+
 }  // namespace
 
 Result<EvalResult> VanillaStrategy::Evaluate(const Configuration& config,
@@ -130,7 +172,6 @@ Result<EvalResult> VanillaStrategy::Evaluate(const Configuration& config,
   // below (subset, partition, model seeds) is a pure function of it. The
   // subset id doubles as the fault-injection site, so it is computed even
   // without a cache.
-  uint64_t config_hash = config.Hash();
   uint64_t subset_id = EvalSubsetId(*rng, budget, train.n());
 
   std::vector<size_t> subset;
@@ -142,43 +183,16 @@ Result<EvalResult> VanillaStrategy::Evaluate(const Configuration& config,
     subset = SampleUniform(train.n(), b, rng);
   }
 
-  FoldSet folds;
-  if (stratified_) {
-    StratifiedKFold builder;
-    BHPO_ASSIGN_OR_RETURN(folds,
-                          builder.Build(train, subset, options_.num_folds,
-                                        rng));
-  } else {
-    RandomKFold builder;
-    BHPO_ASSIGN_OR_RETURN(folds,
-                          builder.Build(train, subset, options_.num_folds,
-                                        rng));
-  }
-
+  StratifiedKFold stratified_builder;
+  RandomKFold random_builder;
+  const FoldBuilder& builder =
+      stratified_ ? static_cast<const FoldBuilder&>(stratified_builder)
+                  : random_builder;
   BHPO_ASSIGN_OR_RETURN(
-      FoldModelFactory factory,
-      MakeFoldModelFactory(config, PerEvalFactory(options_.factory, rng)));
-  CvOptions cv_options;
-  cv_options.metric = options_.metric;
-  cv_options.pool = options_.cv_pool;
-  cv_options.guard = options_.guard;
-  cv_options.faults = options_.faults;
-  cv_options.fault_site = subset_id;
-  std::vector<bool> injected = InjectCachedFolds(
-      options_.cache, config_hash, subset_id, folds.num_folds(), &cv_options);
-  BHPO_ASSIGN_OR_RETURN(
-      CvOutcome cv,
-      CrossValidate(DatasetView(train), folds, factory, cv_options));
+      FoldSet folds, builder.Build(train, subset, options_.num_folds, rng));
 
-  EvalResult result;
-  result.cv = std::move(cv);
-  result.budget_used = b;
-  result.gamma_percent =
-      100.0 * static_cast<double>(b) / static_cast<double>(train.n());
-  result.score = result.cv.mean;  // Vanilla metric: mean only.
-  StoreComputedFolds(options_.cache, config_hash, subset_id, injected,
-                     &result);
-  return result;
+  return CrossValidateSubset(config, train, folds, b, subset_id, options_,
+                             /*scoring=*/nullptr, rng);
 }
 
 Result<std::unique_ptr<EnhancedStrategy>> EnhancedStrategy::Create(
@@ -210,7 +224,6 @@ Result<EvalResult> EnhancedStrategy::Evaluate(const Configuration& config,
   size_t b = ClampBudget(budget, train.n(), options_.num_folds);
 
   // Same identity scheme as VanillaStrategy: cache key and fault site.
-  uint64_t config_hash = config.Hash();
   uint64_t subset_id = EvalSubsetId(*rng, budget, train.n());
 
   std::vector<size_t> subset = b >= train.n()
@@ -220,32 +233,8 @@ Result<EvalResult> EnhancedStrategy::Evaluate(const Configuration& config,
   BHPO_ASSIGN_OR_RETURN(FoldSet folds,
                         GenFolds(grouping_, subset, fold_options_, rng));
 
-  BHPO_ASSIGN_OR_RETURN(
-      FoldModelFactory factory,
-      MakeFoldModelFactory(config, PerEvalFactory(options_.factory, rng)));
-  CvOptions cv_options;
-  cv_options.metric = options_.metric;
-  cv_options.pool = options_.cv_pool;
-  cv_options.guard = options_.guard;
-  cv_options.faults = options_.faults;
-  cv_options.fault_site = subset_id;
-  std::vector<bool> injected = InjectCachedFolds(
-      options_.cache, config_hash, subset_id, folds.num_folds(), &cv_options);
-  BHPO_ASSIGN_OR_RETURN(
-      CvOutcome cv,
-      CrossValidate(DatasetView(train), folds, factory, cv_options));
-
-  EvalResult result;
-  result.cv = std::move(cv);
-  result.budget_used = b;
-  result.gamma_percent =
-      100.0 * static_cast<double>(b) / static_cast<double>(train.n());
-  // Equation 3 when scoring_.use_variance is set (the default for the full
-  // method); plain mean otherwise (the Figure 7 ablation).
-  result.score = ScoreOutcome(result.cv, result.gamma_percent, scoring_);
-  StoreComputedFolds(options_.cache, config_hash, subset_id, injected,
-                     &result);
-  return result;
+  return CrossValidateSubset(config, train, folds, b, subset_id, options_,
+                             &scoring_, rng);
 }
 
 }  // namespace bhpo

@@ -12,24 +12,17 @@ Result<HpoResult> Hyperband::Optimize(const Dataset& train, Rng* rng) {
 
   double eta = static_cast<double>(options_.eta);
   size_t big_r = train.n();  // Maximum per-configuration budget.
-  size_t r_min = options_.min_budget > 0
-                     ? options_.min_budget
-                     : std::max<size_t>(
-                           20, static_cast<size_t>(
-                                   static_cast<double>(big_r) /
-                                   std::pow(eta, 3)));
-  r_min = std::min(r_min, big_r);
+  size_t r_min = RungBudgets(options_.min_budget, big_r, options_.eta).front();
   int s_max = static_cast<int>(std::floor(
       std::log(static_cast<double>(big_r) / static_cast<double>(r_min)) /
       std::log(eta)));
   s_max = std::max(s_max, 0);
 
-  HpoResult result;
-  bool have_best = false;
-  // Shared across ALL brackets: a configuration re-sampled in a later
-  // bracket replays the same per-(config, budget) evaluation streams, so a
-  // wired-in evaluation cache serves those repeats without retraining.
-  uint64_t eval_root = rng->engine()();
+  // One eval_root shared across ALL brackets: a configuration re-sampled in
+  // a later bracket replays the same per-(config, budget) evaluation
+  // streams, so a wired-in evaluation cache serves those repeats without
+  // retraining.
+  EvalRecorder run(strategy_, train, rng->engine()());
 
   for (int s = s_max; s >= 0; --s) {
     // Bracket s: n_s configurations starting at budget R * eta^-s.
@@ -49,8 +42,7 @@ Result<HpoResult> Hyperband::Optimize(const Dataset& train, Rng* rng) {
 
       BHPO_ASSIGN_OR_RETURN(
           std::vector<EvalResult> evals,
-          EvaluateBatch(strategy_, configs, train, budget, eval_root,
-                        options_.pool));
+          run.EvaluateRung(configs, budget, options_.pool));
       std::vector<double> scores(configs.size());
       for (size_t c = 0; c < configs.size(); ++c) {
         const EvalResult& eval = evals[c];
@@ -60,21 +52,9 @@ Result<HpoResult> Hyperband::Optimize(const Dataset& train, Rng* rng) {
         if (!eval.eval_failed) {
           sampler_->Observe(configs[c], eval.score, eval.budget_used);
         }
-        result.history.push_back(
-            {configs[c], eval.score, eval.budget_used, eval.eval_failed});
-        ++result.num_evaluations;
-        result.total_instances += eval.budget_used;
-        AccumulateFaults(eval, &result.faults);
-
         // Every bracket tops out at budget R, and only those evaluations
-        // are comparable across brackets. Demoted evaluations never become
-        // the winner: their sentinel carries no information.
-        if (budget == big_r && !eval.eval_failed &&
-            (!have_best || eval.score > result.best_score)) {
-          result.best_score = eval.score;
-          result.best_config = configs[c];
-          have_best = true;
-        }
+        // are comparable across brackets.
+        if (budget == big_r) run.KeepBest(configs[c], eval);
       }
 
       if (i == s) break;  // Last rung of the bracket.
@@ -89,10 +69,10 @@ Result<HpoResult> Hyperband::Optimize(const Dataset& train, Rng* rng) {
     }
   }
 
-  if (!have_best) {
+  if (!run.has_best()) {
     return Status::Internal("hyperband produced no full-budget evaluation");
   }
-  return result;
+  return std::move(run.result());
 }
 
 }  // namespace bhpo

@@ -44,7 +44,7 @@ class RandomConfigSampler : public ConfigSampler {
 struct HyperbandOptions {
   int eta = 3;
   // Smallest per-configuration instance budget r. 0 = auto:
-  // max(4 * num_folds, R / eta^3).
+  // max(20, R / eta^3) (see RungBudgets).
   size_t min_budget = 0;
   // Optional worker pool for within-rung parallelism (same contract as
   // ShaOptions::pool). Sampler Observe callbacks remain sequential and

@@ -1,10 +1,6 @@
 #include "hpo/pasha.h"
 
-#include <algorithm>
 #include <cmath>
-#include <map>
-
-#include "hpo/sha.h"
 
 namespace bhpo {
 
@@ -24,134 +20,6 @@ bool RankingDisagrees(const std::vector<double>& lower_rung_scores,
     }
   }
   return false;
-}
-
-namespace {
-
-struct RungEntry {
-  Configuration config;
-  double score;
-  bool promoted;
-};
-
-}  // namespace
-
-Result<HpoResult> Pasha::Optimize(const Dataset& train, Rng* rng) {
-  if (rng == nullptr) return Status::InvalidArgument("null rng");
-
-  double eta = static_cast<double>(options_.eta);
-  size_t r_min = options_.min_budget > 0
-                     ? options_.min_budget
-                     : std::max<size_t>(
-                           20, static_cast<size_t>(
-                                   static_cast<double>(train.n()) /
-                                   std::pow(eta, 3)));
-  r_min = std::min(r_min, train.n());
-
-  std::vector<size_t> rung_budget;
-  for (size_t b = r_min;; b = static_cast<size_t>(b * eta)) {
-    rung_budget.push_back(std::min(b, train.n()));
-    if (rung_budget.back() >= train.n()) break;
-  }
-  size_t final_top = rung_budget.size() - 1;
-  // PASHA starts with two rungs and grows on ranking disagreement.
-  size_t active_top = std::min<size_t>(1, final_top);
-
-  std::vector<std::vector<RungEntry>> rungs(rung_budget.size());
-  HpoResult result;
-  bool have_best = false;
-  // Same per-(config, budget) stream scheme as ASHA; see asha.cc.
-  uint64_t eval_root = rng->engine()();
-
-  auto run_job = [&](const Configuration& config, size_t rung) -> Status {
-    Rng eval_rng = PerEvalRng(eval_root, config, rung_budget[rung], train.n());
-    // Same rung-level degradation as ASHA: see asha.cc.
-    BHPO_ASSIGN_OR_RETURN(
-        EvalResult eval,
-        EvaluateOrDemote(strategy_, config, train, rung_budget[rung],
-                         &eval_rng));
-    rungs[rung].push_back({config, eval.score, false});
-    result.history.push_back(
-        {config, eval.score, eval.budget_used, eval.eval_failed});
-    ++result.num_evaluations;
-    result.total_instances += eval.budget_used;
-    AccumulateFaults(eval, &result.faults);
-    if (!have_best || (rung == active_top && eval.score > result.best_score)) {
-      result.best_score = eval.score;
-      result.best_config = config;
-      have_best = true;
-    }
-    return Status::OK();
-  };
-
-  auto maybe_grow = [&] {
-    if (active_top >= final_top) return;
-    // Align configurations present in both of the two highest rungs.
-    if (active_top == 0) return;
-    const auto& lower = rungs[active_top - 1];
-    const auto& upper = rungs[active_top];
-    if (upper.size() < 2) return;
-    std::vector<double> lower_scores, upper_scores;
-    for (const RungEntry& up : upper) {
-      for (const RungEntry& low : lower) {
-        if (low.config == up.config) {
-          lower_scores.push_back(low.score);
-          upper_scores.push_back(up.score);
-          break;
-        }
-      }
-    }
-    if (lower_scores.size() < 2) return;
-    // Soft-ranking tolerance: scaled to the observed score spread.
-    double lo = *std::min_element(lower_scores.begin(), lower_scores.end());
-    double hi = *std::max_element(lower_scores.begin(), lower_scores.end());
-    double tolerance = 0.05 * std::max(1e-12, hi - lo);
-    if (RankingDisagrees(lower_scores, upper_scores, tolerance)) {
-      ++active_top;
-    }
-  };
-
-  for (size_t job = 0; job < options_.max_jobs; ++job) {
-    bool promoted = false;
-    for (size_t k = active_top; k-- > 0 && !promoted;) {
-      size_t promotable = static_cast<size_t>(
-          std::floor(static_cast<double>(rungs[k].size()) / eta));
-      if (promotable == 0) continue;
-      std::vector<double> scores;
-      scores.reserve(rungs[k].size());
-      for (const RungEntry& e : rungs[k]) scores.push_back(e.score);
-      for (size_t idx : TopIndicesByScore(scores, promotable)) {
-        if (!rungs[k][idx].promoted) {
-          rungs[k][idx].promoted = true;
-          BHPO_RETURN_NOT_OK(run_job(rungs[k][idx].config, k + 1));
-          promoted = true;
-          break;
-        }
-      }
-    }
-    if (!promoted) {
-      BHPO_RETURN_NOT_OK(run_job(space_->Sample(rng), 0));
-    }
-    maybe_grow();
-  }
-
-  // Best = best score in the highest populated rung.
-  have_best = false;
-  for (size_t k = rungs.size(); k-- > 0;) {
-    if (rungs[k].empty()) continue;
-    for (const RungEntry& e : rungs[k]) {
-      if (!have_best || e.score > result.best_score) {
-        result.best_score = e.score;
-        result.best_config = e.config;
-        have_best = true;
-      }
-    }
-    break;
-  }
-  if (!have_best) {
-    return Status::Internal("pasha ran no evaluations");
-  }
-  return result;
 }
 
 }  // namespace bhpo

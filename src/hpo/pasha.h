@@ -3,14 +3,13 @@
 
 #include <vector>
 
-#include "hpo/config_space.h"
-#include "hpo/optimizer.h"
+#include "hpo/asha.h"
 
 namespace bhpo {
 
 struct PashaOptions {
   int eta = 2;
-  // Budget of rung 0; 0 = auto (same rule as ASHA).
+  // Budget of rung 0; 0 = auto (same rule as ASHA, see RungBudgets).
   size_t min_budget = 0;
   size_t max_jobs = 60;
 };
@@ -21,25 +20,18 @@ struct PashaOptions {
 // the *soft ranking* of configurations disagrees between the current top
 // two rungs — i.e. when cheap evaluations stop being predictive and more
 // budget is genuinely needed. This implementation runs PASHA's scheduling
-// logic in a sequential simulation (one worker), like our ASHA.
-class Pasha : public HpoOptimizer {
+// logic on ASHA's PromotionScheduler (asha.h), in the same sequential
+// simulation.
+class Pasha : public PromotionScheduler {
  public:
   Pasha(const ConfigSpace* space, EvalStrategy* strategy,
         PashaOptions options = {})
-      : space_(space), strategy_(strategy), options_(options) {
-    BHPO_CHECK(space != nullptr && strategy != nullptr);
-    BHPO_CHECK_GE(options_.eta, 2);
-    BHPO_CHECK_GT(options_.max_jobs, 0u);
-  }
-
-  Result<HpoResult> Optimize(const Dataset& train, Rng* rng) override;
+      : PromotionScheduler(
+            space, strategy,
+            AshaOptions{options.eta, options.min_budget, options.max_jobs},
+            /*progressive=*/true) {}
 
   std::string name() const override { return "pasha"; }
-
- private:
-  const ConfigSpace* space_;
-  EvalStrategy* strategy_;
-  PashaOptions options_;
 };
 
 // PASHA's rung-growth test, exposed for unit tests: given the scores of

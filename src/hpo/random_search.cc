@@ -4,31 +4,17 @@ namespace bhpo {
 
 Result<HpoResult> RandomSearch::Optimize(const Dataset& train, Rng* rng) {
   if (rng == nullptr) return Status::InvalidArgument("null rng");
-  HpoResult result;
-  bool have_best = false;
   // Per-(config, budget) evaluation streams: a duplicate sample replays
   // (and cache-hits) its earlier evaluation instead of re-rolling it.
-  uint64_t eval_root = rng->engine()();
+  EvalRecorder run(strategy_, train, rng->engine()());
   for (size_t i = 0; i < num_samples_; ++i) {
     Configuration config = space_->Sample(rng);
-    Rng eval_rng = PerEvalRng(eval_root, config, train.n(), train.n());
     // A sample whose evaluation blows up is demoted, not fatal: random
     // search just moves on to the next draw.
-    BHPO_ASSIGN_OR_RETURN(
-        EvalResult eval,
-        EvaluateOrDemote(strategy_, config, train, train.n(), &eval_rng));
-    result.history.push_back(
-        {config, eval.score, eval.budget_used, eval.eval_failed});
-    ++result.num_evaluations;
-    result.total_instances += eval.budget_used;
-    AccumulateFaults(eval, &result.faults);
-    if ((!have_best || eval.score > result.best_score) && !eval.eval_failed) {
-      result.best_score = eval.score;
-      result.best_config = config;
-      have_best = true;
-    }
+    BHPO_ASSIGN_OR_RETURN(EvalResult eval, run.Evaluate(config, train.n()));
+    run.KeepBest(config, eval);
   }
-  return result;
+  return std::move(run.result());
 }
 
 }  // namespace bhpo

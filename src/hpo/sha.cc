@@ -1,8 +1,8 @@
 #include "hpo/sha.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
-#include <optional>
 
 #include "common/logging.h"
 
@@ -20,52 +20,23 @@ std::vector<size_t> TopIndicesByScore(const std::vector<double>& scores,
   return order;
 }
 
-Result<std::vector<EvalResult>> EvaluateBatch(
-    EvalStrategy* strategy, const std::vector<Configuration>& configs,
-    const Dataset& train, size_t budget, uint64_t eval_root,
-    ThreadPool* pool) {
-  std::vector<std::optional<Result<EvalResult>>> raw(configs.size());
-  auto evaluate_one = [&](size_t i) {
-    // Each evaluation owns a stream derived from (root, config, budget) —
-    // independent of scheduling, pool size, and position in the batch.
-    Rng eval_rng = PerEvalRng(eval_root, configs[i], budget, train.n());
-    raw[i] = strategy->Evaluate(configs[i], train, budget, &eval_rng);
-  };
-  if (pool != nullptr && configs.size() > 1) {
-    pool->ParallelFor(configs.size(), evaluate_one);
-  } else {
-    for (size_t i = 0; i < configs.size(); ++i) evaluate_one(i);
+std::vector<size_t> RungBudgets(size_t min_budget, size_t n, int eta) {
+  double eta_d = static_cast<double>(eta);
+  size_t r_min = min_budget > 0
+                     ? min_budget
+                     : std::max<size_t>(
+                           20, static_cast<size_t>(static_cast<double>(n) /
+                                                   std::pow(eta_d, 3)));
+  std::vector<size_t> budgets;
+  for (size_t b = std::min(r_min, n);; b = static_cast<size_t>(b * eta_d)) {
+    budgets.push_back(std::min(b, n));
+    if (budgets.back() >= n) break;
   }
-
-  std::vector<EvalResult> results;
-  results.reserve(configs.size());
-  for (size_t i = 0; i < raw.size(); ++i) {
-    auto& r = raw[i];
-    BHPO_CHECK(r.has_value());
-    if (!r->ok()) {
-      // Rung-level graceful degradation: a broken candidate is demoted
-      // with a sentinel score instead of aborting the whole bracket.
-      if (!IsDemotableEvalError(r->status())) return r->status();
-      BHPO_LOG(kWarning) << "evaluation of " << configs[i].ToString()
-                         << " demoted to sentinel score: "
-                         << r->status().ToString();
-      results.push_back(DemotedEvalResult());
-      continue;
-    }
-    results.push_back(std::move(**r));
-  }
-  return results;
+  return budgets;
 }
 
 Result<HpoResult> SuccessiveHalving::Optimize(const Dataset& train, Rng* rng) {
   if (rng == nullptr) return Status::InvalidArgument("null rng");
-
-  HpoResult result;
-  std::vector<Configuration> survivors;
-  size_t total_budget = train.n();  // B = n (Table I).
-  double last_best_score = 0.0;
-  uint64_t eval_root = 0;
-  size_t rungs_completed = 0;
 
   const CheckpointState* resume = options_.checkpoint.resume;
   if (resume != nullptr) {
@@ -80,41 +51,37 @@ Result<HpoResult> SuccessiveHalving::Optimize(const Dataset& train, Rng* rng) {
           "checkpoint run tag '" + resume->run_tag +
           "' does not match expected '" + options_.checkpoint.run_tag + "'");
     }
-    // Restoring eval_root (and NOT drawing from rng) is what makes every
-    // remaining evaluation replay the uninterrupted run bit-identically.
-    eval_root = resume->eval_root;
-    rungs_completed = resume->rungs_completed;
-    survivors = resume->survivors;
+  }
+  // One stream root for the whole run; every evaluation's randomness is
+  // PerEvalRng(root, config, budget) from here on. Restoring it from a
+  // checkpoint (and NOT drawing from rng) is what makes every remaining
+  // evaluation replay the uninterrupted run bit-identically.
+  EvalRecorder run(strategy_, train,
+                   resume != nullptr ? resume->eval_root : rng->engine()());
+  HpoResult& result = run.result();
+  std::vector<Configuration> survivors =
+      resume != nullptr ? resume->survivors : candidates_;
+  size_t rungs_completed = resume != nullptr ? resume->rungs_completed : 0;
+  if (resume != nullptr) {
     result.history = resume->history;
     result.num_evaluations = resume->num_evaluations;
     result.total_instances = resume->total_instances;
     result.faults = resume->faults;
-  } else {
-    survivors = candidates_;
-    // One stream root for the whole run; every evaluation's randomness is
-    // PerEvalRng(root, config, budget) from here on.
-    eval_root = rng->engine()();
   }
   if (survivors.empty()) {
     return Status::InvalidArgument("checkpoint holds no survivors");
   }
+  size_t total_budget = train.n();  // B = n (Table I).
+  double last_best_score = 0.0;
 
   while (survivors.size() > 1) {
     size_t per_config = std::max<size_t>(1, total_budget / survivors.size());
 
     BHPO_ASSIGN_OR_RETURN(
         std::vector<EvalResult> evals,
-        EvaluateBatch(strategy_, survivors, train, per_config, eval_root,
-                      options_.pool));
+        run.EvaluateRung(survivors, per_config, options_.pool));
     std::vector<double> scores(survivors.size());
-    for (size_t i = 0; i < survivors.size(); ++i) {
-      scores[i] = evals[i].score;
-      result.history.push_back({survivors[i], evals[i].score,
-                                evals[i].budget_used, evals[i].eval_failed});
-      ++result.num_evaluations;
-      result.total_instances += evals[i].budget_used;
-      AccumulateFaults(evals[i], &result.faults);
-    }
+    for (size_t i = 0; i < survivors.size(); ++i) scores[i] = evals[i].score;
 
     size_t keep = std::max<size_t>(
         1, (survivors.size() + options_.eta - 1) /
@@ -132,7 +99,7 @@ Result<HpoResult> SuccessiveHalving::Optimize(const Dataset& train, Rng* rng) {
       CheckpointState state;
       state.method = name();
       state.run_tag = options_.checkpoint.run_tag;
-      state.eval_root = eval_root;
+      state.eval_root = run.eval_root();
       state.rungs_completed = rungs_completed;
       state.survivors = survivors;
       state.history = result.history;
@@ -162,18 +129,9 @@ Result<HpoResult> SuccessiveHalving::Optimize(const Dataset& train, Rng* rng) {
   result.best_config = survivors.front();
   if (candidates_.size() == 1 && resume == nullptr) {
     // Degenerate space: score the lone candidate at full budget.
-    Rng eval_rng =
-        PerEvalRng(eval_root, result.best_config, train.n(), train.n());
-    BHPO_ASSIGN_OR_RETURN(
-        EvalResult eval,
-        EvaluateOrDemote(strategy_, result.best_config, train, train.n(),
-                         &eval_rng));
+    BHPO_ASSIGN_OR_RETURN(EvalResult eval,
+                          run.Evaluate(result.best_config, train.n()));
     last_best_score = eval.score;
-    result.history.push_back(
-        {result.best_config, eval.score, eval.budget_used, eval.eval_failed});
-    ++result.num_evaluations;
-    result.total_instances += eval.budget_used;
-    AccumulateFaults(eval, &result.faults);
   }
 
   // Report the winner's own score from the evaluation record — its
@@ -193,7 +151,7 @@ Result<HpoResult> SuccessiveHalving::Optimize(const Dataset& train, Rng* rng) {
       result.best_score = record.score;
     }
   }
-  return result;
+  return std::move(result);
 }
 
 }  // namespace bhpo

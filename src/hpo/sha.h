@@ -76,25 +76,17 @@ class SuccessiveHalving : public HpoOptimizer {
 };
 
 // Ranks `scores` descending and returns the indices of the `keep` best
-// (stable: earlier candidates win ties). Shared by SHA/Hyperband/ASHA.
+// (stable: earlier candidates win ties). Shared by SHA, Hyperband, ASHA and
+// PASHA.
 std::vector<size_t> TopIndicesByScore(const std::vector<double>& scores,
                                       size_t keep);
 
-// Evaluates a rung of configurations at one budget, serially or on the
-// pool (see ShaOptions::pool for the threading contract). Each evaluation
-// runs on PerEvalRng(eval_root, config, budget, n): a pure function of the
-// root, the configuration and the budget, so results are deterministic
-// regardless of thread count AND identical whenever the same
-// (config, budget) pair recurs — within a rung, across Hyperband brackets,
-// or across the whole run — which is what the evaluation cache exploits.
-// `eval_root` is drawn once per optimizer run from the master rng.
-// Demotable evaluation failures (IsDemotableEvalError) are converted to
-// DemotedEvalResult() sentinels so one broken candidate never aborts the
-// rung; non-demotable errors (invalid argument) still propagate.
-Result<std::vector<EvalResult>> EvaluateBatch(
-    EvalStrategy* strategy, const std::vector<Configuration>& configs,
-    const Dataset& train, size_t budget, uint64_t eval_root,
-    ThreadPool* pool);
+// The rung ladder shared by Hyperband, ASHA and PASHA for a training set of
+// n instances: rung k evaluates at r_min * eta^k (truncated), capped at n,
+// and the last rung is the first one that reaches n. front() is r_min:
+// `min_budget`, or when that is 0 the auto rule max(20, n / eta^3), in
+// both cases capped at n.
+std::vector<size_t> RungBudgets(size_t min_budget, size_t n, int eta);
 
 }  // namespace bhpo
 

@@ -22,33 +22,19 @@ double ExpectedImprovement(double mean, double stddev, double best,
 Result<HpoResult> Smac::Optimize(const Dataset& train, Rng* rng) {
   if (rng == nullptr) return Status::InvalidArgument("null rng");
 
-  HpoResult result;
-  bool have_best = false;
   std::vector<std::vector<double>> observed_encodings;
   std::vector<double> observed_scores;
   // Per-(config, budget) evaluation streams; see eval_strategy.h.
-  uint64_t eval_root = rng->engine()();
+  EvalRecorder run(strategy_, train, rng->engine()());
 
   auto evaluate = [&](const Configuration& config) -> Status {
-    Rng eval_rng = PerEvalRng(eval_root, config, train.n(), train.n());
-    BHPO_ASSIGN_OR_RETURN(
-        EvalResult eval,
-        EvaluateOrDemote(strategy_, config, train, train.n(), &eval_rng));
+    BHPO_ASSIGN_OR_RETURN(EvalResult eval, run.Evaluate(config, train.n()));
     if (!eval.eval_failed) {
       // The surrogate must not learn from a sentinel -inf observation.
       observed_encodings.push_back(space_->Encode(config));
       observed_scores.push_back(eval.score);
     }
-    result.history.push_back(
-        {config, eval.score, eval.budget_used, eval.eval_failed});
-    ++result.num_evaluations;
-    result.total_instances += eval.budget_used;
-    AccumulateFaults(eval, &result.faults);
-    if (!eval.eval_failed && (!have_best || eval.score > result.best_score)) {
-      result.best_score = eval.score;
-      result.best_config = config;
-      have_best = true;
-    }
+    run.KeepBest(config, eval);
     return Status::OK();
   };
 
@@ -94,8 +80,8 @@ Result<HpoResult> Smac::Optimize(const Dataset& train, Rng* rng) {
     size_t best_candidate = 0;
     double best_ei = -1.0;
     for (size_t i = 0; i < candidate_configs.size(); ++i) {
-      double ei = ExpectedImprovement(mean[i], stddev[i], result.best_score,
-                                      options_.ei_xi);
+      double ei = ExpectedImprovement(mean[i], stddev[i],
+                                      run.result().best_score, options_.ei_xi);
       if (ei > best_ei) {
         best_ei = ei;
         best_candidate = i;
@@ -103,7 +89,7 @@ Result<HpoResult> Smac::Optimize(const Dataset& train, Rng* rng) {
     }
     BHPO_RETURN_NOT_OK(evaluate(candidate_configs[best_candidate]));
   }
-  return result;
+  return std::move(run.result());
 }
 
 }  // namespace bhpo

@@ -5,33 +5,19 @@ namespace bhpo {
 Result<HpoResult> TpeSearch::Optimize(const Dataset& train, Rng* rng) {
   if (rng == nullptr) return Status::InvalidArgument("null rng");
 
-  HpoResult result;
-  bool have_best = false;
   // Per-(config, budget) evaluation streams; see eval_strategy.h.
-  uint64_t eval_root = rng->engine()();
+  EvalRecorder run(strategy_, train, rng->engine()());
   for (size_t iter = 0; iter < options_.num_iterations; ++iter) {
     Configuration config = sampler_.Sample(rng);
-    Rng eval_rng = PerEvalRng(eval_root, config, train.n(), train.n());
-    BHPO_ASSIGN_OR_RETURN(
-        EvalResult eval,
-        EvaluateOrDemote(strategy_, config, train, train.n(), &eval_rng));
+    BHPO_ASSIGN_OR_RETURN(EvalResult eval, run.Evaluate(config, train.n()));
     // Demoted evaluations are recorded in the history but never teach the
     // TPE densities or win the search.
     if (!eval.eval_failed) {
       sampler_.Observe(config, eval.score, eval.budget_used);
     }
-    result.history.push_back(
-        {config, eval.score, eval.budget_used, eval.eval_failed});
-    ++result.num_evaluations;
-    result.total_instances += eval.budget_used;
-    AccumulateFaults(eval, &result.faults);
-    if (!eval.eval_failed && (!have_best || eval.score > result.best_score)) {
-      result.best_score = eval.score;
-      result.best_config = config;
-      have_best = true;
-    }
+    run.KeepBest(config, eval);
   }
-  return result;
+  return std::move(run.result());
 }
 
 }  // namespace bhpo
