@@ -7,7 +7,9 @@
 #   2. tier-1           Release build + full ctest
 #   3. clang-tidy       bugprone-*/concurrency-*/performance-* profile
 #                       (skipped with a note when clang-tidy is not installed)
-#   4. ASan+UBSan       cache + thread-pool + gather/layout suites
+#   4. ASan+UBSan       cache + thread-pool + gather/layout suites, and
+#                       the optimizer suites (SHA/Hyperband family, ASHA,
+#                       PASHA, SMAC, TPE, golden outcome lock)
 #   5. TSan             ThreadPool / fold-parallel CV / EvalCache suites,
 #                       fold-parallel tree CV and the contended stress test
 #                       under -fsanitize=thread
@@ -65,7 +67,7 @@ if [[ "$run_tidy" == 1 ]]; then
 fi
 
 if [[ "$run_asan" == 1 ]]; then
-  echo "== ASan+UBSan: cache + thread-pool + gather/layout suites =="
+  echo "== ASan+UBSan: cache + thread-pool + gather/layout + optimizer suites =="
   cmake --preset asan >/dev/null
   cmake --build build-asan -j"$jobs" \
     --target bhpo_hpo_test bhpo_common_test bhpo_data_test bhpo_ml_test \
@@ -73,6 +75,10 @@ if [[ "$run_asan" == 1 ]]; then
 
   ./build-asan/tests/bhpo_hpo_test \
     --gtest_filter='EvalCache*:CachingStrategy*:FoldCache*:CacheTransparency*'
+  # Every optimizer on the shared evaluate-and-record path; the promotion
+  # scheduler promotes out of one per-rung vector into the next.
+  ./build-asan/tests/bhpo_hpo_test \
+    --gtest_filter='Sha*:Asha*:Pasha*:Hyperband*:Bohb*:Dehb*:Smac*:TpeSearch*:TpeSampler*:OptimizerGolden*'
   ./build-asan/tests/bhpo_common_test --gtest_filter='*ThreadPool*'
   # Gather kernel + blocked layout under ASan, both dispatch variants: the
   # edge-width/misalignment suite flips the runtime toggle itself, and the
