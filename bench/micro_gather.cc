@@ -49,6 +49,7 @@
 #include "common/flags.h"
 #include "common/gather.h"
 #include "common/rng.h"
+#include "common/simd.h"
 #include "data/paper_datasets.h"
 #include "data/synthetic.h"
 #include "ml/decision_tree.h"
@@ -310,8 +311,8 @@ int Main(int argc, char** argv) {
       ", \"col_blocked_ms\": " + std::to_string(col_blocked_ms) +
       ", \"speedup\": " + std::to_string(tree_speedup) +
       "}, \"ensemble\": [" + ensemble_json + "], \"simd_compiled\": " +
-      (GatherSimdCompiled() ? "true" : "false") +
-      ", \"simd_active\": " + (GatherSimdActive() ? "true" : "false") + "}";
+      (SimdCompiled() ? "true" : "false") +
+      ", \"simd_active\": " + (SimdActive() ? "true" : "false") + "}";
   std::printf("%s\n", json.c_str());
 
   std::FILE* file = std::fopen(out.c_str(), "w");

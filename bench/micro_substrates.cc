@@ -1,13 +1,16 @@
-// Google-benchmark microbenchmarks for the substrates: matrix multiply,
-// MLP training epochs, k-means, grouping (Operation 1) and fold
-// construction (Operation 2). These quantify the paper's claim that the
-// grouping overhead is negligible next to model training (Section III-E).
+// Google-benchmark microbenchmarks for the substrates: the MLP matrix
+// products (both dispatch variants), MLP training epochs, k-means, grouping
+// (Operation 1) and fold construction (Operation 2). These quantify the
+// paper's claim that the grouping overhead is negligible next to model
+// training (Section III-E).
 
 #include <benchmark/benchmark.h>
 
 #include <numeric>
+#include <string>
 
 #include "cluster/balanced_kmeans.h"
+#include "common/simd.h"
 #include "cv/gen_folds.h"
 #include "cv/grouping.h"
 #include "cv/stratified_kfold.h"
@@ -27,17 +30,68 @@ Dataset BenchData(size_t n, size_t d) {
   return MakeBlobs(spec).value().Standardized();
 }
 
-void BM_MatMul(benchmark::State& state) {
-  size_t n = static_cast<size_t>(state.range(0));
+// The three products one MLP training step runs per layer, at the layer
+// shapes of the MLP workloads: a minibatch of `batch` rows through a layer
+// with `fan_in` inputs and `fan_out` outputs.
+//   forward   X (batch x fan_in) * W (fan_in x fan_out)        MatMul
+//   gradient  X^T * delta (batch x fan_out)                     TransposeMatMul
+//   backprop  delta * W^T                                       MatMulTranspose
+// Each runs with the AVX2 kernel and with the scalar reference (the last
+// argument; 1 = AVX2 when compiled in and supported). Outputs are written
+// into reused buffers, as in training.
+enum Product : int64_t { kForward, kGradient, kBackprop };
+
+void BM_MlpProduct(benchmark::State& state) {
+  const auto product = static_cast<Product>(state.range(0));
+  const auto batch = static_cast<size_t>(state.range(1));
+  const auto fan_in = static_cast<size_t>(state.range(2));
+  const auto fan_out = static_cast<size_t>(state.range(3));
+  const bool simd = state.range(4) != 0;
+  const bool previous = SetSimdEnabled(simd);
   Rng rng(1);
-  Matrix a = Matrix::RandomGaussian(n, n, &rng);
-  Matrix b = Matrix::RandomGaussian(n, n, &rng);
+  Matrix x = Matrix::RandomGaussian(batch, fan_in, &rng);
+  Matrix w = Matrix::RandomGaussian(fan_in, fan_out, &rng);
+  Matrix delta = Matrix::RandomGaussian(batch, fan_out, &rng);
+  Matrix out, scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(a.MatMul(b));
+    switch (product) {
+      case kForward:
+        x.MatMulInto(w, &out);
+        break;
+      case kGradient:
+        x.TransposeMatMulInto(delta, &out);
+        break;
+      case kBackprop:
+        delta.MatMulTransposeInto(w, &scratch, &out);
+        break;
+    }
+    benchmark::DoNotOptimize(out.data().data());
+    benchmark::ClobberMemory();
   }
-  state.SetComplexityN(state.range(0));
+  static const char* const kNames[] = {"MatMul", "TransposeMatMul",
+                                       "MatMulTranspose"};
+  state.SetLabel(std::string(kNames[product]) +
+                 (SimdActive() ? " avx2" : " scalar"));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(batch * fan_in * fan_out));
+  SetSimdEnabled(previous);
 }
-BENCHMARK(BM_MatMul)->Arg(32)->Arg(64)->Arg(128)->Complexity();
+
+void MlpProductArgs(benchmark::internal::Benchmark* bench) {
+  bench->ArgNames({"product", "batch", "fan_in", "fan_out", "simd"});
+  // satimage (d = 36, 6 classes) through (50) / (50, 50), and kc-house
+  // (d = 18, one target) through (40): input, hidden and output layers.
+  const int64_t kLayers[][3] = {
+      {200, 36, 50}, {200, 50, 50}, {200, 50, 6}, {240, 18, 40}, {240, 40, 1}};
+  for (int64_t product : {kForward, kGradient, kBackprop}) {
+    for (const auto& layer : kLayers) {
+      for (int64_t simd : {1, 0}) {
+        bench->Args({product, layer[0], layer[1], layer[2], simd});
+      }
+    }
+  }
+}
+BENCHMARK(BM_MlpProduct)->Apply(MlpProductArgs);
 
 void BM_MlpEpoch(benchmark::State& state) {
   Dataset data = BenchData(static_cast<size_t>(state.range(0)), 20);

@@ -14,7 +14,7 @@ namespace bhpo {
 // order. Every env read in the library goes through these helpers and is
 // made at *first use* behind a function-local static in the caller, never
 // from a namespace-scope initializer — see SimdEnabledFlag() in
-// common/gather.cc and MinLevel() in common/logging.cc for the pattern.
+// common/simd.cc and MinLevel() in common/logging.cc for the pattern.
 // The repo itself never calls setenv after startup; test harnesses that
 // vary the environment (the BHPO_SIMD ctest variants) do so by launching
 // the process with a different environment, not by mutating it in-flight.

@@ -1,52 +1,11 @@
 #include "common/gather.h"
 
-#include <atomic>
+#include <cstdlib>
 #include <cstring>
 
-#include "common/env.h"
+#include "common/simd.h"
 
 namespace bhpo {
-namespace {
-
-bool SimdSupported() {
-#if defined(BHPO_HAVE_AVX2)
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
-}
-
-// Env-var kill switch: BHPO_SIMD=0|off|false|no disables the AVX2 path
-// even in SIMD builds. This is how ctest registers a portable variant of
-// every gather test against the same binary. The flag is a function-local
-// static so the env read happens thread-safely at first use instead of in
-// a namespace-scope initializer during static init (std::getenv there
-// runs at an unspecified point before main).
-std::atomic<bool>& SimdEnabledFlag() {
-  static std::atomic<bool> flag{SimdSupported() &&
-                                GetEnvBool("BHPO_SIMD", true)};
-  return flag;
-}
-
-}  // namespace
-
-bool GatherSimdCompiled() {
-#if defined(BHPO_HAVE_AVX2)
-  return true;
-#else
-  return false;
-#endif
-}
-
-bool GatherSimdActive() {
-  return SimdEnabledFlag().load(std::memory_order_relaxed);
-}
-
-bool SetGatherSimdEnabled(bool enabled) {
-  bool requested = enabled && SimdSupported();
-  return SimdEnabledFlag().exchange(requested, std::memory_order_relaxed);
-}
-
 namespace internal {
 
 void GatherRowsScalar(const double* src, size_t src_stride, size_t cols,
@@ -74,7 +33,7 @@ void GatherRows(const double* src, size_t src_stride, size_t cols,
   // source is packed (stride == cols), which holds for every Matrix today;
   // a padded source falls back to row-at-a-time copies.
   const bool coalesce = src_stride == cols;
-  const bool avx2 = GatherSimdActive();
+  const bool avx2 = SimdActive();
   // Scattered rows are latency-bound, not bandwidth-bound: each row start
   // is a demand miss the hardware prefetcher cannot predict, because the
   // next source address lives in the index array. The driver knows it, so

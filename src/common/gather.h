@@ -22,35 +22,16 @@ namespace bhpo {
 //     indices[i+1] == indices[i] + 1; when src_stride == cols those source
 //     rows are adjacent in memory and a whole run collapses into one large
 //     memcpy instead of one call per row.
-//  2. An AVX2 single-row copy for the rows between runs, compiled only
-//     when the CMake gate BHPO_ENABLE_SIMD is on and dispatched at runtime
-//     on CPU support (so a portable build and a SIMD build of the same
-//     sources always exist side by side).
+//  2. An AVX2 single-row copy for the rows between runs, behind the
+//     library's SIMD gate (common/simd.h): compiled only when the CMake
+//     option BHPO_ENABLE_SIMD is on and dispatched at runtime on CPU
+//     support and the BHPO_SIMD kill switch (so a portable build and a SIMD
+//     build of the same sources always exist side by side).
 //
 // `indices` may repeat (bootstrap resampling) and must all be < the number
 // of source rows; src and dst must not overlap.
 void GatherRows(const double* src, size_t src_stride, size_t cols,
                 const size_t* indices, size_t count, double* dst);
-
-// --- Feature gate -----------------------------------------------------------
-//
-// Three layers, strongest first:
-//   * compile time: CMake option BHPO_ENABLE_SIMD (default ON on x86-64)
-//     compiles the AVX2 translation unit at all;
-//   * process start: the BHPO_SIMD environment variable ("0"/"off" disables)
-//     and a runtime CPUID check seed the initial setting;
-//   * runtime: SetGatherSimdEnabled() flips the dispatch on the fly, which
-//     is how tests and benches compare both variants inside one binary.
-
-// True when this binary was compiled with the AVX2 path at all.
-bool GatherSimdCompiled();
-// True when GatherRows will actually take the AVX2 path right now
-// (compiled in, supported by the CPU, and not disabled).
-bool GatherSimdActive();
-// Runtime override. Enabling is a no-op when the path is not compiled in or
-// the CPU lacks AVX2. Returns the previous setting so scoped flips can
-// restore it.
-bool SetGatherSimdEnabled(bool enabled);
 
 namespace internal {
 

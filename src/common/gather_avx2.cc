@@ -1,8 +1,9 @@
 // AVX2 translation unit of the gather kernel. Compiled with -mavx2 behind
 // the BHPO_ENABLE_SIMD CMake gate; everything else in the library builds
-// without arch flags, and gather.cc only calls in here after a runtime
-// __builtin_cpu_supports("avx2") check, so the binary stays safe on
-// pre-AVX2 hardware.
+// without arch flags, and gather.cc only calls in here when SimdActive()
+// (common/simd.h: a runtime __builtin_cpu_supports("avx2") check plus the
+// BHPO_SIMD kill switch) allows it, so the binary stays safe on pre-AVX2
+// hardware.
 
 #include <immintrin.h>
 

@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "common/fault.h"
-#include "common/gather.h"
+#include "common/simd.h"
 #include "common/thread_pool.h"
 #include "data/synthetic.h"
 #include "hpo/bohb.h"
@@ -366,7 +366,7 @@ TEST(FoldCacheTest, HitsAreBitIdenticalAcrossGatherVariants) {
   VanillaStrategy plain(plain_options);
 
   uint64_t root = 55;
-  bool previous = SetGatherSimdEnabled(true);
+  bool previous = SetSimdEnabled(true);
 
   // Producer: vectorized gather fills the cache (when SIMD is compiled in;
   // otherwise this is a scalar-vs-scalar run and still must hold).
@@ -375,7 +375,7 @@ TEST(FoldCacheTest, HitsAreBitIdenticalAcrossGatherVariants) {
   EXPECT_EQ(cold.cache_fold_hits, 0u);
 
   // Consumer: scalar gather replays every fold from the cache...
-  SetGatherSimdEnabled(false);
+  SetSimdEnabled(false);
   Rng replay = PerEvalRng(root, config, 40, data.n());
   EvalResult warm = cached.Evaluate(config, data, 40, &replay).value();
   EXPECT_EQ(warm.cache_fold_misses, 0u);
@@ -383,7 +383,7 @@ TEST(FoldCacheTest, HitsAreBitIdenticalAcrossGatherVariants) {
   Rng scratch = PerEvalRng(root, config, 40, data.n());
   EvalResult recomputed = plain.Evaluate(config, data, 40, &scratch).value();
 
-  SetGatherSimdEnabled(previous);
+  SetSimdEnabled(previous);
 
   EXPECT_EQ(warm.score, cold.score);
   EXPECT_EQ(warm.score, recomputed.score);
