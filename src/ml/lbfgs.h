@@ -42,7 +42,8 @@ struct LbfgsSummary {
 
 // Minimizes f starting from *x (updated in place to the best point found).
 // Returns an error only for invalid arguments; a line-search failure ends
-// the run gracefully with converged=false.
+// the run gracefully with converged=false, and so does a gradient with a
+// NaN or infinite entry (final_gradient_norm is then non-finite).
 Result<LbfgsSummary> MinimizeLbfgs(const ObjectiveFn& objective,
                                    std::vector<double>* x,
                                    const LbfgsOptions& options = {});
