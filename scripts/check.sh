@@ -7,9 +7,11 @@
 #   2. tier-1           Release build + full ctest
 #   3. clang-tidy       bugprone-*/concurrency-*/performance-* profile
 #                       (skipped with a note when clang-tidy is not installed)
-#   4. ASan+UBSan       cache + thread-pool + gather/layout suites, and
-#                       the optimizer suites (SHA/Hyperband family, ASHA,
-#                       PASHA, SMAC, TPE, golden outcome lock)
+#   4. ASan+UBSan       cache + thread-pool + gather/layout suites, the
+#                       optimizer suites (SHA/Hyperband family, ASHA,
+#                       PASHA, SMAC, TPE, golden outcome lock), and the
+#                       matrix-product kernel + MLP bit-exactness suites
+#                       under both SIMD dispatch variants
 #   5. TSan             ThreadPool / fold-parallel CV / EvalCache suites,
 #                       fold-parallel tree CV and the contended stress test
 #                       under -fsanitize=thread
@@ -67,7 +69,7 @@ if [[ "$run_tidy" == 1 ]]; then
 fi
 
 if [[ "$run_asan" == 1 ]]; then
-  echo "== ASan+UBSan: cache + thread-pool + gather/layout + optimizer suites =="
+  echo "== ASan+UBSan: cache + thread-pool + gather/layout + optimizer + MLP kernel suites =="
   cmake --preset asan >/dev/null
   cmake --build build-asan -j"$jobs" \
     --target bhpo_hpo_test bhpo_common_test bhpo_data_test bhpo_ml_test \
@@ -90,6 +92,16 @@ if [[ "$run_asan" == 1 ]]; then
   ./build-asan/tests/bhpo_data_test --gtest_filter='GatherBitExact*'
   ./build-asan/tests/bhpo_ml_test \
     --gtest_filter='TreeLayoutBitExact*:SortedColumns*:NonFiniteFeature*'
+  # Matrix-product kernels and the MLP training lock, both dispatch
+  # variants: the register tiles' row and column tails are exactly where an
+  # out-of-bounds load or store would hide. The kernel suite also flips the
+  # runtime toggle itself; the second run pins the portable path.
+  ./build-asan/tests/bhpo_common_test --gtest_filter='MatrixKernel*'
+  BHPO_SIMD=off ./build-asan/tests/bhpo_common_test \
+    --gtest_filter='MatrixKernel*'
+  ./build-asan/tests/bhpo_ml_test --gtest_filter='MlpBitExact*:Lbfgs*'
+  BHPO_SIMD=off ./build-asan/tests/bhpo_ml_test \
+    --gtest_filter='MlpBitExact*'
   ./build-asan/tests/bhpo_stress_test
 else
   echo "== ASan pass skipped =="
