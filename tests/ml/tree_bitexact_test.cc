@@ -1,0 +1,293 @@
+// Bit-exactness lock for tree training. Each case fits one DecisionTree,
+// RandomForest or GbdtModel with fixed seeds and compares an FNV-1a digest
+// of everything the fit produced — the serialized model text (every split
+// feature, threshold and leaf payload at full precision) and the prediction
+// bits on the training features and on a held-out batch — against a
+// recorded constant.
+//
+// Unlike tree_layout_bitexact_test.cc, which compares the presorted layout
+// with the row-major reference (both share one split scan), these constants
+// pin the trees themselves: any change to the split scan's arithmetic, its
+// candidate order or its tie-breaking, to the walk-or-sort node ordering or
+// to the ensembles' bagging and boosting changes a digest.
+//
+// The cases cover binary, 6-class and 10-class classification and
+// regression; min_samples_leaf 1 and 8; limited and unlimited depth;
+// integer-valued features (many rows tied on one value); bootstrap on and
+// off; and GBDT subsample 1 and 0.5. At 480 rows the large nodes walk the
+// presorted order and the small ones sort packed keys, so every fit takes
+// both paths. ctest also runs the suite with BHPO_SIMD=off.
+
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <numeric>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "data/dataset_view.h"
+#include "data/synthetic.h"
+#include "ml/decision_tree.h"
+#include "ml/gbdt.h"
+#include "ml/random_forest.h"
+#include "ml/serialization.h"
+
+namespace bhpo {
+namespace {
+
+class Fnv1a {
+ public:
+  void Bytes(const void* data, size_t size) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < size; ++i) {
+      hash_ ^= p[i];
+      hash_ *= 1099511628211ULL;
+    }
+  }
+  void U64(uint64_t v) { Bytes(&v, sizeof(v)); }
+  void Double(double d) { U64(std::bit_cast<uint64_t>(d)); }
+  void Text(const std::string& s) {
+    U64(s.size());
+    Bytes(s.data(), s.size());
+  }
+  void Matrix(const bhpo::Matrix& m) {
+    U64(m.rows());
+    U64(m.cols());
+    for (double x : m.data()) Double(x);
+  }
+  void Values(const std::vector<double>& v) {
+    U64(v.size());
+    for (double x : v) Double(x);
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 14695981039346656037ULL;
+};
+
+enum class Kind { kTree, kForest, kGbdt };
+
+struct LockCase {
+  const char* name;
+  uint64_t digest;
+  Kind kind;
+  // 0 = regression.
+  int num_classes;
+  // Round features to integers, so many distinct rows share a value.
+  bool tied = false;
+  int min_samples_leaf = 1;
+  // 0 = unlimited (trees and forests only; a GBDT needs a depth).
+  int max_depth = 0;
+  // Forest: bootstrap bags. GBDT: subsample 0.5 instead of 1.
+  bool resample = false;
+};
+
+constexpr size_t kRows = 480;
+constexpr size_t kFeatures = 10;
+
+Dataset MakeData(int num_classes, bool tied, uint64_t seed) {
+  Dataset data;
+  if (num_classes > 0) {
+    BlobsSpec spec;
+    spec.n = kRows;
+    spec.num_features = kFeatures;
+    spec.num_classes = num_classes;
+    spec.label_noise = 0.1;
+    spec.seed = seed;
+    data = MakeBlobs(spec).value().Standardized();
+  } else {
+    RegressionSpec spec;
+    spec.n = kRows;
+    spec.num_features = kFeatures;
+    spec.seed = seed;
+    data = MakeRegression(spec).value().Standardized();
+  }
+  if (!tied) return data;
+  // Standardized values times 2, rounded: about a dozen levels per feature.
+  Matrix x = data.features();
+  for (double& v : x.data()) v = std::round(2.0 * v);
+  if (num_classes > 0) {
+    return Dataset::Classification(std::move(x), data.labels(), num_classes)
+        .value();
+  }
+  return Dataset::Regression(std::move(x), data.targets()).value();
+}
+
+template <typename M>
+void HashPredictions(const M& model, const Dataset& data, Fnv1a* h) {
+  if (data.is_classification()) {
+    h->Matrix(model.PredictProba(data.features()));
+  } else {
+    h->Values(model.PredictValues(data.features()));
+  }
+}
+
+uint64_t FitDigest(const LockCase& c) {
+  Dataset train = MakeData(c.num_classes, c.tied, 31);
+  Dataset held_out = MakeData(c.num_classes, c.tied, 32);
+  Fnv1a h;
+  std::ostringstream text;
+  switch (c.kind) {
+    case Kind::kTree: {
+      DecisionTreeConfig config;
+      config.max_depth = c.max_depth;
+      config.min_samples_leaf = c.min_samples_leaf;
+      DecisionTree model(config);
+      EXPECT_TRUE(model.Fit(train).ok());
+      EXPECT_TRUE(SaveDecisionTree(model, text).ok());
+      HashPredictions(model, train, &h);
+      HashPredictions(model, held_out, &h);
+      break;
+    }
+    case Kind::kForest: {
+      RandomForestConfig config;
+      config.num_trees = 6;
+      config.bootstrap = c.resample;
+      config.seed = 5;
+      config.tree.max_depth = c.max_depth;
+      config.tree.min_samples_leaf = c.min_samples_leaf;
+      RandomForest model(config);
+      EXPECT_TRUE(model.Fit(train).ok());
+      EXPECT_TRUE(SaveRandomForest(model, text).ok());
+      HashPredictions(model, train, &h);
+      HashPredictions(model, held_out, &h);
+      break;
+    }
+    case Kind::kGbdt: {
+      GbdtConfig config;
+      config.num_rounds = 5;
+      config.max_depth = c.max_depth;
+      config.min_samples_leaf = c.min_samples_leaf;
+      config.subsample = c.resample ? 0.5 : 1.0;
+      config.seed = 7;
+      GbdtModel model(config);
+      EXPECT_TRUE(model.Fit(train).ok());
+      EXPECT_TRUE(SaveGbdt(model, text).ok());
+      h.Double(model.final_loss());
+      HashPredictions(model, train, &h);
+      HashPredictions(model, held_out, &h);
+      break;
+    }
+  }
+  h.Text(text.str());
+  return h.value();
+}
+
+std::vector<LockCase> Cases() {
+  constexpr Kind kTree = Kind::kTree;
+  constexpr Kind kForest = Kind::kForest;
+  constexpr Kind kGbdt = Kind::kGbdt;
+  return {
+      {"tree_binary", 0x058084cd6ca5c281ULL,
+       kTree, 2},
+      {"tree_binary_tied_leaf8", 0xb84c76a896c51d61ULL,
+       kTree, 2, true, 8},
+      {"tree_6class", 0xf0e4d1b0f9911b11ULL,
+       kTree, 6},
+      {"tree_6class_leaf8_depth5", 0x730771235802dd3dULL,
+       kTree, 6, false, 8, 5},
+      {"tree_6class_tied", 0xb4f027e56de9eff3ULL,
+       kTree, 6, true},
+      {"tree_10class", 0x832e7326332a43d6ULL,
+       kTree, 10},
+      {"tree_10class_tied_depth4", 0x376362862109e4e1ULL,
+       kTree, 10, true, 1, 4},
+      {"tree_regression", 0x3e972344d355b4e3ULL,
+       kTree, 0},
+      {"tree_regression_leaf8_depth6", 0x3c9a36452bb6ae80ULL,
+       kTree, 0, false, 8, 6},
+      {"tree_regression_tied", 0xe07ed8f4809a449eULL,
+       kTree, 0, true},
+      {"forest_binary_bootstrap", 0xe347e1de9c571d2dULL,
+       kForest, 2, false, 1, 0, true},
+      {"forest_6class_tied", 0xad68a1282cbdbbb1ULL,
+       kForest, 6, true, 1, 8},
+      {"forest_10class_bootstrap_leaf8", 0x67f26a38898c07fdULL,
+       kForest, 10, false, 8, 0, true},
+      {"forest_regression_bootstrap", 0xa352ee82856750ecULL,
+       kForest, 0, false, 1, 0, true},
+      {"forest_regression_tied_leaf8_depth6", 0x7d218fff43bd143aULL,
+       kForest, 0, true, 8, 6},
+      {"gbdt_binary", 0xbb407e9606b3205fULL,
+       kGbdt, 2, false, 1, 3},
+      {"gbdt_binary_tied_subsample", 0x6e3e01afe8aa135dULL,
+       kGbdt, 2, true, 1, 8, true},
+      {"gbdt_6class_subsample", 0xe8d4b25bd5c84f7fULL,
+       kGbdt, 6, false, 1, 4, true},
+      {"gbdt_10class_leaf8", 0x386c6f17c1edeae7ULL,
+       kGbdt, 10, false, 8, 3},
+      {"gbdt_regression", 0x109462903f2204b9ULL,
+       kGbdt, 0, false, 1, 8},
+      {"gbdt_regression_tied_leaf8_subsample", 0x5b91dd6e401f2069ULL,
+       kGbdt, 0, true, 8, 3, true},
+  };
+}
+
+std::string Hex(uint64_t v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "0x%016llxULL",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+TEST(TreeBitExactTest, FitsMatchRecordedDigests) {
+  for (const LockCase& c : Cases()) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(Hex(FitDigest(c)), Hex(c.digest));
+  }
+}
+
+// Rows that occur many times in one node. A node that walks the presorted
+// order emits each row as often as it occurs; here one row occurs 5 times
+// and another 9 times at the root, which is large enough to walk, and in
+// the nodes below it that keep them.
+uint64_t RepeatedIdsDigest(int num_classes, SplitLayout layout,
+                           std::string* serialized) {
+  Dataset data = MakeData(num_classes, false, 33);
+  DatasetView view(data);
+  std::vector<uint32_t> ids(data.n());
+  std::iota(ids.begin(), ids.end(), 0);
+  ids.insert(ids.begin() + 100, 4, 17);
+  ids.insert(ids.end(), 8, 250);
+  DecisionTreeConfig config;
+  config.layout = layout;
+  DecisionTree tree(config);
+  SortedColumns index = BuildTreeIndex(view, layout).value();
+  TreeWorkspace workspace;
+  EXPECT_TRUE(tree.FitRows(view, index, ids, TreeTargets::Of(view),
+                           &workspace)
+                  .ok());
+  std::ostringstream text;
+  EXPECT_TRUE(SaveDecisionTree(tree, text).ok());
+  *serialized = text.str();
+  Fnv1a h;
+  HashPredictions(tree, data, &h);
+  h.Text(*serialized);
+  return h.value();
+}
+
+TEST(TreeBitExactTest, RepeatedIdsMatchReferenceAndDigest) {
+  struct RepeatCase {
+    const char* name;
+    int num_classes;
+    uint64_t digest;
+  };
+  const RepeatCase cases[] = {{"6class", 6, 0x0662eeaadc20f7a2ULL},
+                               {"regression", 0, 0x1893b6521151dad0ULL}};
+  for (const RepeatCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::string blocked, row_major;
+    uint64_t digest =
+        RepeatedIdsDigest(c.num_classes, SplitLayout::kColBlocked, &blocked);
+    RepeatedIdsDigest(c.num_classes, SplitLayout::kRowMajor, &row_major);
+    EXPECT_EQ(blocked, row_major);
+    EXPECT_EQ(Hex(digest), Hex(c.digest));
+  }
+}
+
+}  // namespace
+}  // namespace bhpo
