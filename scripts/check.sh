@@ -8,8 +8,9 @@
 #   3. clang-tidy       bugprone-*/concurrency-*/performance-* profile
 #                       (skipped with a note when clang-tidy is not installed)
 #   4. ASan+UBSan       cache + thread-pool + gather/layout suites, the
-#                       optimizer suites (SHA/Hyperband family, ASHA,
-#                       PASHA, SMAC, TPE, golden outcome lock), and the
+#                       tree lock digests, the optimizer suites
+#                       (SHA/Hyperband family, ASHA, PASHA, SMAC, TPE,
+#                       golden outcome lock), and the
 #                       matrix-product kernel + MLP bit-exactness suites
 #                       under both SIMD dispatch variants
 #   5. TSan             ThreadPool / fold-parallel CV / EvalCache suites,
@@ -90,8 +91,10 @@ if [[ "$run_asan" == 1 ]]; then
   BHPO_SIMD=off ./build-asan/tests/bhpo_common_test \
     --gtest_filter='Gather*:ColBlockMatrix*:MatrixSelectRowsGather*'
   ./build-asan/tests/bhpo_data_test --gtest_filter='GatherBitExact*'
+  # Tree layouts, the tree lock digests and the repeated-id walk: the walk
+  # stores 4 ids at a time into the sorted-ids slack.
   ./build-asan/tests/bhpo_ml_test \
-    --gtest_filter='TreeLayoutBitExact*:SortedColumns*:NonFiniteFeature*'
+    --gtest_filter='TreeLayoutBitExact*:TreeBitExact*:SortedColumns*:NonFiniteFeature*'
   # Matrix-product kernels and the MLP training lock, both dispatch
   # variants: the register tiles' row and column tails are exactly where an
   # out-of-bounds load or store would hide. The kernel suite also flips the

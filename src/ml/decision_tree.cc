@@ -39,14 +39,6 @@ Result<SortedColumns> BuildTreeIndex(const DatasetView& train,
 
 namespace {
 
-// Gini impurity of class counts[0..k).
-double Gini(const double* counts, int k, double total) {
-  if (total <= 0.0) return 0.0;
-  double sum_sq = 0.0;
-  for (int c = 0; c < k; ++c) sum_sq += counts[c] * counts[c];
-  return 1.0 - sum_sq / (total * total);
-}
-
 struct SplitCandidate {
   int feature = -1;
   double threshold = 0.0;
@@ -80,11 +72,11 @@ class PresortedAccess {
   void BeginNode(const uint32_t* ids, size_t n) {
     // A walk costs one pass over the whole fit per feature; a key sort
     // costs m log m steps, each dearer than a walk step. Walking once
-    // 2 m log m exceeds the fit's row count was the fastest cut-off timed
-    // on full-depth trees and on depth-6 forests and GBDT (DESIGN.md §9);
-    // always sorting was 1.4-4x slower, and always walking is quadratic in
+    // 6 m log m exceeds the fit's row count was the cheapest cut-off
+    // measured node by node on full-depth trees and on the benchmark's
+    // forest and GBDT grid (DESIGN.md §9); always walking is quadratic in
     // the node count of deep trees.
-    walk_ = 2 * n * CeilLog2(n) > index_->rows();
+    walk_ = 6 * n * CeilLog2(n) > index_->rows();
     if (walk_) {
       for (size_t i = 0; i < n; ++i) ++counts_[ids[i]];
     }
@@ -93,12 +85,24 @@ class PresortedAccess {
   const uint32_t* SortedBy(size_t f, const uint32_t* ids, size_t n) {
     uint32_t* out = sorted_;
     if (walk_) {
-      // Emit each fit row as many times as it occurs in the node.
+      // Emit each fit row as many times as it occurs in the node. Bootstrap
+      // multiplicities are Poisson(1), so a loop over them mispredicts at
+      // almost every row; instead store the id four times unconditionally
+      // and advance by its count. A later id (or the 3 ids of slack past
+      // n) overwrites the stores a count below 4 leaves behind.
       const uint32_t* order = index_->Order(f);
       size_t k = 0;
       for (size_t p = 0; k < n; ++p) {
         uint32_t id = order[p];
-        for (uint32_t c = counts_[id]; c > 0; --c) out[k++] = id;
+        uint32_t count = counts_[id];
+        out[k] = id;
+        out[k + 1] = id;
+        out[k + 2] = id;
+        out[k + 3] = id;
+        if (count > 4) [[unlikely]] {
+          for (uint32_t c = 4; c < count; ++c) out[k + c] = id;
+        }
+        k += count;
       }
     } else {
       // Dense ranks ascend with value, so sorting (rank << 32 | id) keys
@@ -184,17 +188,22 @@ int DecisionTree::BuildNodeImpl(Access& access, const TreeTargets& targets,
 
   // Leaf payload (always computed; only leaves keep it).
   std::vector<double>& leaf_value = ws->leaf_;
+  uint32_t* node_counts = ws->class_counts_.data();
   bool pure = true;
   if (task_ == Task::kClassification) {
     const int* labels = targets.labels.data();
-    leaf_value.assign(num_classes_, 0.0);
+    std::fill(node_counts, node_counts + num_classes_, 0u);
     int first = labels[ids[0]];
     for (size_t i = 0; i < n; ++i) {
       int y = labels[ids[i]];
-      leaf_value[y] += 1.0;
+      ++node_counts[y];
       pure &= y == first;
     }
-    for (double& v : leaf_value) v /= static_cast<double>(n);
+    leaf_value.resize(num_classes_);
+    for (int c = 0; c < num_classes_; ++c) {
+      leaf_value[c] =
+          static_cast<double>(node_counts[c]) / static_cast<double>(n);
+    }
   } else {
     const double* values = targets.values.data();
     double mean = 0.0;
@@ -226,40 +235,58 @@ int DecisionTree::BuildNodeImpl(Access& access, const TreeTargets& targets,
     features.resize(config_.max_features);
   }
 
-  // Best split search over each feature's sorted rows with prefix
-  // statistics.
+  // Best split search over each feature's sorted rows. Position i puts
+  // sorted rows [0, i] on the left; it is a candidate when both sides keep
+  // min_leaf rows and the values either side of it differ. Each feature
+  // scores every position in [begin, end) into `score`, then takes the
+  // first position that beats the best so far — the same candidates in the
+  // same order, under the same strict `<`, as scoring them one at a time.
   SplitCandidate best;
   size_t min_leaf = static_cast<size_t>(config_.min_samples_leaf);
+  size_t begin = min_leaf - 1, end = n - min_leaf;
+  double* score = ws->scan_.data();
+  int64_t node_sq = 0;
+  for (int c = 0; c < num_classes_; ++c) {
+    node_sq += int64_t{node_counts[c]} * node_counts[c];
+  }
   access.BeginNode(ids, n);
   for (size_t f : features) {
     const uint32_t* sorted = access.SortedBy(f, ids, n);
     auto value = access.Values(f);
 
     if (task_ == Task::kClassification) {
+      // Gini-weighted child sizes, n_s * (1 - sq_s / (n_s * n_s)) per side
+      // s, where sq_s is the side's sum of squared class counts. Counts are
+      // integers, so sq_s is kept exactly in an integer and updated per row
+      // by (c + 1)^2 = c^2 + 2c + 1: it equals the sum of squares a
+      // from-scratch loop over the classes computes in doubles, bit for
+      // bit, while n * n < 2^53 (FitRows caps n below 2^26). The first pass
+      // carries the counts; the second is elementwise and vectorizes.
       const int* labels = targets.labels.data();
-      double* left_counts = ws->class_counts_.data();
-      double* right_counts = left_counts + num_classes_;
-      std::fill(left_counts, left_counts + 2 * num_classes_, 0.0);
-      for (size_t i = 0; i < n; ++i) right_counts[labels[sorted[i]]] += 1.0;
-      for (size_t i = 0; i + 1 < n; ++i) {
+      uint32_t* left_counts = node_counts + num_classes_;
+      double* right_sq = score + n;
+      std::fill(left_counts, left_counts + num_classes_, 0u);
+      int64_t sq_left = 0, sq_right = node_sq;
+      for (size_t i = 0; i < end; ++i) {
         int y = labels[sorted[i]];
-        left_counts[y] += 1.0;
-        right_counts[y] -= 1.0;
-        double lo = value[sorted[i]];
-        double hi = value[sorted[i + 1]];
-        if (lo == hi) continue;  // No valid threshold between equal values.
-        size_t n_left = i + 1, n_right = n - n_left;
-        if (n_left < min_leaf || n_right < min_leaf) continue;
-        double score =
-            static_cast<double>(n_left) *
-                Gini(left_counts, num_classes_, n_left) +
-            static_cast<double>(n_right) *
-                Gini(right_counts, num_classes_, n_right);
-        if (score < best.score) {
-          best = {static_cast<int>(f), (lo + hi) / 2.0, score};
-        }
+        int64_t c_left = left_counts[y]++;
+        int64_t c_right = node_counts[y] - c_left;
+        sq_left += 2 * c_left + 1;
+        sq_right -= 2 * c_right - 1;
+        score[i] = static_cast<double>(sq_left);
+        right_sq[i] = static_cast<double>(sq_right);
+      }
+      double total = static_cast<double>(n);
+      for (int i = static_cast<int>(begin); i < static_cast<int>(end); ++i) {
+        double n_left = i + 1;
+        double n_right = total - n_left;
+        score[i] = n_left * (1.0 - score[i] / (n_left * n_left)) +
+                   n_right * (1.0 - right_sq[i] / (n_right * n_right));
       }
     } else {
+      // Floating-point prefix sums: their order is part of the result, so
+      // they stay one sequential pass, which also scores each position (a
+      // separate scoring pass measured no faster; DESIGN.md §9).
       const double* values = targets.values.data();
       double right_sum = 0.0, right_sq = 0.0;
       for (size_t i = 0; i < n; ++i) {
@@ -268,23 +295,25 @@ int DecisionTree::BuildNodeImpl(Access& access, const TreeTargets& targets,
         right_sq += y * y;
       }
       double left_sum = 0.0, left_sq = 0.0;
-      for (size_t i = 0; i + 1 < n; ++i) {
+      for (size_t i = 0; i < end; ++i) {
         double y = values[sorted[i]];
         left_sum += y;
         left_sq += y * y;
         right_sum -= y;
         right_sq -= y * y;
+        size_t n_left = i + 1, n_right = n - n_left;
+        // Weighted child SSE = sum of (sum_sq - sum^2 / n) per side.
+        score[i] = (left_sq - left_sum * left_sum / n_left) +
+                   (right_sq - right_sum * right_sum / n_right);
+      }
+    }
+
+    for (size_t i = begin; i < end; ++i) {
+      if (score[i] < best.score) {
         double lo = value[sorted[i]];
         double hi = value[sorted[i + 1]];
-        if (lo == hi) continue;
-        size_t n_left = i + 1, n_right = n - n_left;
-        if (n_left < min_leaf || n_right < min_leaf) continue;
-        // Weighted child SSE = sum of (sum_sq - sum^2 / n) per side.
-        double score = (left_sq - left_sum * left_sum / n_left) +
-                       (right_sq - right_sum * right_sum / n_right);
-        if (score < best.score) {
-          best = {static_cast<int>(f), (lo + hi) / 2.0, score};
-        }
+        // No valid threshold between equal values.
+        if (lo != hi) best = {static_cast<int>(f), (lo + hi) / 2.0, score[i]};
       }
     }
   }
@@ -349,6 +378,10 @@ Status DecisionTree::FitRows(const DatasetView& train,
   if (n_fit > std::numeric_limits<uint32_t>::max()) {
     return Status::InvalidArgument("too many rows for a 32-bit row id");
   }
+  // The Gini scan's exact integer sums of squared counts need n * n < 2^53.
+  if (ids.size() >= kMaxFitRows) {
+    return Status::InvalidArgument("too many rows for one tree: 2^26 or more");
+  }
   task_ = targets.num_classes > 0 ? Task::kClassification : Task::kRegression;
   num_classes_ = targets.num_classes;
   BHPO_CHECK_EQ(task_ == Task::kClassification ? targets.labels.size()
@@ -361,8 +394,10 @@ Status DecisionTree::FitRows(const DatasetView& train,
 
   size_t m = ids.size();
   workspace->rows_.assign(ids.begin(), ids.end());
-  workspace->sorted_.resize(m);
+  // The walk stores 4 ids at a time, up to 3 past the node's last row.
+  workspace->sorted_.resize(m + 3);
   workspace->spill_.resize(m);
+  workspace->scan_.resize(2 * m);
   workspace->class_counts_.resize(2 * static_cast<size_t>(num_classes_));
   if (config_.layout == SplitLayout::kRowMajor) {
     BHPO_RETURN_NOT_OK(CheckFiniteFeatures(train));

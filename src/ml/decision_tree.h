@@ -26,7 +26,7 @@ enum class SplitLayout {
   // presorted by (value, fit-local id), and each row's dense rank — shared
   // by every tree of the fit. A node takes its rows in feature order from
   // the index: a walk over the presorted order when the node is large
-  // (2 * m * ceil(log2 m) > fit rows), else a sort of packed (rank << 32 |
+  // (6 * m * ceil(log2 m) > fit rows), else a sort of packed (rank << 32 |
   // id) integer keys. Tied rows therefore come in fit-local id order.
   kColBlocked,
   // The reference: no index; every node copies its row ids and sorts them
@@ -82,17 +82,22 @@ class TreeWorkspace {
  private:
   friend class DecisionTree;
   std::vector<uint32_t> rows_;       // The tree's ids, partitioned by node.
-  std::vector<uint32_t> sorted_;     // A node's ids in feature order.
+  std::vector<uint32_t> sorted_;     // A node's ids in feature order, + 3.
   std::vector<uint32_t> spill_;      // Right side of a stable partition.
   std::vector<uint64_t> keys_;       // Packed (rank << 32 | id) sort keys.
   std::vector<uint32_t> counts_;     // Per-fit-id multiplicity (walks).
   std::vector<size_t> features_;     // Candidate features of a node.
-  std::vector<double> class_counts_; // Left then right class counts.
+  std::vector<uint32_t> class_counts_;  // Node then left class counts.
+  std::vector<double> scan_;         // Per-position split statistics.
   std::vector<double> leaf_;         // Leaf payload under construction.
 };
 
 class DecisionTree : public Model {
  public:
+  // Rows (repeats counted) one tree can train on: 2^26, so that squared
+  // row counts stay below 2^53, exact in a double.
+  static constexpr size_t kMaxFitRows = size_t{1} << 26;
+
   explicit DecisionTree(DecisionTreeConfig config = {})
       : config_(std::move(config)) {}
 
@@ -107,7 +112,7 @@ class DecisionTree : public Model {
   // Ensemble entry point: trains on fit-local rows `ids` of `train` (repeats
   // allowed — a bootstrap bag; a GBDT subsample) with `targets` indexed by
   // fit-local id. `index` is the fit's shared BuildTreeIndex(train,
-  // layout).
+  // layout). Rejects kMaxFitRows or more ids with InvalidArgument.
   Status FitRows(const DatasetView& train, const SortedColumns& index,
                  const std::vector<uint32_t>& ids, const TreeTargets& targets,
                  TreeWorkspace* workspace);

@@ -127,6 +127,22 @@ TEST(DecisionTreeTest, FitRejectsEmptyDataset) {
   EXPECT_FALSE(tree.Fit(Dataset()).ok());
 }
 
+TEST(DecisionTreeTest, FitRowsRejectsTwoTo26Ids) {
+  // The Gini scan keeps squared counts exact only below 2^26 rows. The
+  // ids (a 256 MiB vector) repeat one row; the check comes before any
+  // training.
+  Dataset data = XorData();
+  DatasetView view(data);
+  SortedColumns index = BuildTreeIndex(view, SplitLayout::kColBlocked).value();
+  std::vector<uint32_t> ids(DecisionTree::kMaxFitRows, 0);
+  TreeWorkspace workspace;
+  DecisionTree tree;
+  Status status =
+      tree.FitRows(view, index, ids, TreeTargets::Of(view), &workspace);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(tree.fitted());
+}
+
 TEST(DecisionTreeDeathTest, PredictBeforeFitAborts) {
   DecisionTree tree;
   Matrix x(1, 2);
