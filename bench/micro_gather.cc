@@ -1,5 +1,5 @@
-// Microbenchmark for the indexed-gather kernel and the tree-training
-// layouts. Two measurements:
+// Microbenchmark for the indexed-gather kernel and tree training. Two
+// measurements:
 //
 //  1. Subset materialization (the rung-evaluation hot path): gather subsets
 //     of an `n x d` feature matrix at successive-halving rung sizes
@@ -11,29 +11,25 @@
 //     bound, where coalescing wins big; the 90% gather is DRAM-bandwidth-
 //     bound on most machines and reported for honesty, not headlines.
 //
-//  2. Tree training (the tree-fit hot path), SplitLayout::kRowMajor (the
-//     reference: per-node comparator sorts over the parent rows) versus the
-//     default layout (one presorted SortedColumns index per fit, walk-or-
-//     sort node order): a single DecisionTree::Fit on blobs, then
-//     RandomForest (32 trees, depth 6, sqrt(d) features) and GbdtModel (4
-//     rounds, depth 6) fits at the a9a CASH shape — d = 80, on a rung-sized
-//     (110-row) and a fold-sized (480-row) training view.
+//  2. Tree training (the tree-fit hot path: one presorted SortedColumns
+//     index per fit, walk-or-sort node order): a single DecisionTree::Fit
+//     on blobs, then RandomForest (32 trees, depth 6, sqrt(d) features)
+//     and GbdtModel (4 rounds, depth 6) fits at the a9a CASH shape — d =
+//     80, on a rung-sized (110-row) and a fold-sized (480-row) training
+//     view.
 //
 // Emits machine-readable JSON:
 //   {"n":..,"d":..,
 //    "gather":[{"rows":..,"pattern":..,"scalar_ms":..,"kernel_ms":..,
 //               "speedup":..},..],
 //    "headline_speedup":..,
-//    "tree":{"row_major_ms":..,"col_blocked_ms":..,"speedup":..},
-//    "ensemble":[{"model":..,"rows":..,"d":..,"row_major_ms":..,
-//                 "default_ms":..,"speedup":..},..],
+//    "tree":{"default_ms":..},
+//    "ensemble":[{"model":..,"rows":..,"d":..,"default_ms":..},..],
 //    "simd_compiled":..,"simd_active":..}
 // headline_speedup is the fold-complement gather at the smallest rung;
-// "col_blocked_ms" is the default layout's single-tree time. Every timed
-// gather is checksummed against the scalar reference, and every ensemble
-// fit's serialized trees and test-set predictions against the row-major
-// reference; any divergence aborts the bench, so the numbers can only come
-// from bit-identical work.
+// each default_ms is a best-of-reps fit time. Every timed gather is
+// checksummed against the scalar reference; any divergence aborts the
+// bench. The trees themselves are locked by digest in the tree tests.
 
 #include <algorithm>
 #include <chrono>
@@ -41,7 +37,6 @@
 #include <cstring>
 #include <limits>
 #include <numeric>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -55,7 +50,6 @@
 #include "ml/decision_tree.h"
 #include "ml/gbdt.h"
 #include "ml/random_forest.h"
-#include "ml/serialization.h"
 
 namespace bhpo {
 namespace {
@@ -107,75 +101,40 @@ std::vector<size_t> Shuffled(size_t n, size_t rows, Rng* rng) {
   return indices;
 }
 
-// A fitted ensemble's identity: its serialized trees and its test-set
-// class probabilities.
-struct EnsembleFit {
-  std::string serialized;
-  std::vector<double> proba;
-};
-
-template <typename ModelT, typename SaveFn>
-EnsembleFit FitEnsemble(ModelT* model, const DatasetView& train,
-                        const Matrix& test, SaveFn save) {
-  BHPO_CHECK(model->Fit(train).ok());
-  std::ostringstream out;
-  BHPO_CHECK(save(*model, out).ok());
-  return {out.str(), model->PredictProba(test).data()};
-}
-
-// One ensemble family at one training size: times both layouts and aborts
-// unless they grow identical models. Returns the JSON record.
+// One ensemble family at one training size: its best-of-reps fit time.
+// Returns the JSON record.
 std::string BenchEnsemble(const char* name, const TrainTestSplit& data,
                           size_t rows, int reps, double* sink) {
   std::vector<size_t> first(rows);
   std::iota(first.begin(), first.end(), 0);
   DatasetView train(data.train, first);
+  const Matrix& test = data.test.features();
   bool forest = std::string(name) == "random_forest";
-  auto fit = [&](SplitLayout layout) {
+  double default_ms = TimeMs(reps, sink, [&] {
     if (forest) {
       RandomForestConfig config;
       config.num_trees = 32;
       config.seed = 5;
       config.tree.max_depth = 6;  // max_features 0 = sqrt(d).
-      config.tree.layout = layout;
       RandomForest model(config);
-      return FitEnsemble(&model, train, data.test.features(),
-                         SaveRandomForest);
+      BHPO_CHECK(model.Fit(train).ok());
+      return model.PredictProba(test)(0, 0);
     }
     GbdtConfig config;
     config.num_rounds = 4;
     config.max_depth = 6;
     config.seed = 5;
-    config.layout = layout;
     GbdtModel model(config);
-    return FitEnsemble(&model, train, data.test.features(), SaveGbdt);
-  };
-
-  EnsembleFit reference = fit(SplitLayout::kRowMajor);
-  EnsembleFit presorted = fit(SplitLayout::kColBlocked);
-  BHPO_CHECK(reference.serialized == presorted.serialized)
-      << name << " rows " << rows << ": trees differ between layouts";
-  BHPO_CHECK(reference.proba == presorted.proba)
-      << name << " rows " << rows << ": predictions differ between layouts";
-
-  double row_major_ms = TimeMs(reps, sink, [&] {
-    return fit(SplitLayout::kRowMajor).proba[0];
+    BHPO_CHECK(model.Fit(train).ok());
+    return model.PredictProba(test)(0, 0);
   });
-  double default_ms = TimeMs(reps, sink, [&] {
-    return fit(SplitLayout::kColBlocked).proba[0];
-  });
-  double speedup = row_major_ms / default_ms;
   size_t d = data.train.num_features();
-  std::fprintf(stderr,
-               "%-13s rows %4zu d %zu  row-major %8.3f ms  default %8.3f ms"
-               "  %.2fx\n",
-               name, rows, d, row_major_ms, default_ms, speedup);
+  std::fprintf(stderr, "%-13s rows %4zu d %zu  fit %8.3f ms\n", name, rows, d,
+               default_ms);
   return "{\"model\": \"" + std::string(name) +
          "\", \"rows\": " + std::to_string(rows) +
          ", \"d\": " + std::to_string(d) +
-         ", \"row_major_ms\": " + std::to_string(row_major_ms) +
-         ", \"default_ms\": " + std::to_string(default_ms) +
-         ", \"speedup\": " + std::to_string(speedup) + "}";
+         ", \"default_ms\": " + std::to_string(default_ms) + "}";
 }
 
 int Main(int argc, char** argv) {
@@ -261,8 +220,8 @@ int Main(int argc, char** argv) {
     }
   }
 
-  // Split-scan layout comparison on a smaller set (tree fits are far more
-  // expensive per pass than raw gathers).
+  // Tree fits on a smaller set (they are far more expensive per pass than
+  // raw gathers).
   BlobsSpec tree_spec;
   tree_spec.n = static_cast<size_t>(tree_n);
   tree_spec.num_features = static_cast<size_t>(d);
@@ -271,26 +230,15 @@ int Main(int argc, char** argv) {
   Dataset tree_data = MakeBlobs(tree_spec).value();
   int tree_reps = std::max(1, reps / 6);
 
-  auto fit_tree = [&](SplitLayout layout) {
+  double tree_ms = TimeMs(tree_reps, &sink, [&] {
     DecisionTreeConfig config;
     config.max_depth = tree_depth;
-    config.layout = layout;
     DecisionTree tree(config);
     BHPO_CHECK(tree.Fit(tree_data).ok());
     return static_cast<double>(tree.node_count());
-  };
-  double row_major_ms = TimeMs(tree_reps, &sink, [&] {
-    return fit_tree(SplitLayout::kRowMajor);
   });
-  double col_blocked_ms = TimeMs(tree_reps, &sink, [&] {
-    return fit_tree(SplitLayout::kColBlocked);
-  });
-  double tree_speedup = row_major_ms / col_blocked_ms;
-  std::fprintf(stderr,
-               "tree fit (n=%d depth=%d) row-major %8.3f ms  "
-               "default %8.3f ms  %.2fx  (sink %.3f)\n",
-               tree_n, tree_depth, row_major_ms, col_blocked_ms, tree_speedup,
-               sink);
+  std::fprintf(stderr, "tree fit (n=%d depth=%d) %8.3f ms  (sink %.3f)\n",
+               tree_n, tree_depth, tree_ms, sink);
 
   // Ensemble fits at the a9a CASH shape: a9a x0.3 has 600 training rows
   // and 80 features; 110 rows is an early rung, 480 a 5-fold training side.
@@ -307,9 +255,7 @@ int Main(int argc, char** argv) {
       "{\"n\": " + std::to_string(n) + ", \"d\": " + std::to_string(d) +
       ", \"gather\": [" + gather_json +
       "], \"headline_speedup\": " + std::to_string(headline) +
-      ", \"tree\": {\"row_major_ms\": " + std::to_string(row_major_ms) +
-      ", \"col_blocked_ms\": " + std::to_string(col_blocked_ms) +
-      ", \"speedup\": " + std::to_string(tree_speedup) +
+      ", \"tree\": {\"default_ms\": " + std::to_string(tree_ms) +
       "}, \"ensemble\": [" + ensemble_json + "], \"simd_compiled\": " +
       (SimdCompiled() ? "true" : "false") +
       ", \"simd_active\": " + (SimdActive() ? "true" : "false") + "}";

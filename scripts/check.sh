@@ -70,7 +70,7 @@ if [[ "$run_tidy" == 1 ]]; then
 fi
 
 if [[ "$run_asan" == 1 ]]; then
-  echo "== ASan+UBSan: cache + thread-pool + gather/layout + optimizer + MLP kernel suites =="
+  echo "== ASan+UBSan: cache + thread-pool + gather + tree + optimizer + MLP kernel suites =="
   cmake --preset asan >/dev/null
   cmake --build build-asan -j"$jobs" \
     --target bhpo_hpo_test bhpo_common_test bhpo_data_test bhpo_ml_test \
@@ -83,18 +83,19 @@ if [[ "$run_asan" == 1 ]]; then
   ./build-asan/tests/bhpo_hpo_test \
     --gtest_filter='Sha*:Asha*:Pasha*:Hyperband*:Bohb*:Dehb*:Smac*:TpeSearch*:TpeSampler*:OptimizerGolden*'
   ./build-asan/tests/bhpo_common_test --gtest_filter='*ThreadPool*'
-  # Gather kernel + blocked layout under ASan, both dispatch variants: the
-  # edge-width/misalignment suite flips the runtime toggle itself, and the
-  # second run pins the portable path via the env kill switch.
+  # Gather kernel under ASan, both dispatch variants: the edge-width/
+  # misalignment suite flips the runtime toggle itself, and the second run
+  # pins the portable path via the env kill switch.
   ./build-asan/tests/bhpo_common_test \
-    --gtest_filter='Gather*:ColBlockMatrix*:MatrixSelectRowsGather*'
+    --gtest_filter='Gather*:MatrixSelectRowsGather*'
   BHPO_SIMD=off ./build-asan/tests/bhpo_common_test \
-    --gtest_filter='Gather*:ColBlockMatrix*:MatrixSelectRowsGather*'
+    --gtest_filter='Gather*:MatrixSelectRowsGather*'
   ./build-asan/tests/bhpo_data_test --gtest_filter='GatherBitExact*'
-  # Tree layouts, the tree lock digests and the repeated-id walk: the walk
-  # stores 4 ids at a time into the sorted-ids slack.
+  # The tree lock digests, the repeated-id walk and the node-order oracle:
+  # the walk stores 4 ids at a time into the sorted-ids slack. The tree
+  # loaders reject the malformed models that read out of bounds.
   ./build-asan/tests/bhpo_ml_test \
-    --gtest_filter='TreeLayoutBitExact*:TreeBitExact*:SortedColumns*:NonFiniteFeature*'
+    --gtest_filter='TreeLayoutBitExact*:TreeBitExact*:SortedColumns*:NodeOrder*:NonFiniteFeature*:*Serialization*'
   # Matrix-product kernels and the MLP training lock, both dispatch
   # variants: the register tiles' row and column tails are exactly where an
   # out-of-bounds load or store would hide. The kernel suite also flips the

@@ -1,7 +1,5 @@
 #include "data/dataset_view.h"
 
-#include <cstring>
-
 #include "common/gather.h"
 
 namespace bhpo {
@@ -62,14 +60,6 @@ Matrix DatasetView::GatherFeatures() const {
   GatherRows(src.data().data(), d, d, indices_.data(), indices_.size(),
              out.data().data());
   return out;
-}
-
-ColBlockMatrix DatasetView::GatherFeatureColumns() const {
-  const Matrix& src = parent().features();
-  if (!has_indices_) return ColBlockMatrix::FromMatrix(src);
-  return ColBlockMatrix::FromRowMajor(src.data().data(), src.cols(),
-                                      src.cols(), indices_.data(),
-                                      indices_.size());
 }
 
 std::vector<int> DatasetView::GatherLabels() const {

@@ -3,7 +3,6 @@
 
 #include <vector>
 
-#include "common/col_block_matrix.h"
 #include "common/matrix.h"
 #include "common/status.h"
 #include "data/dataset.h"
@@ -85,9 +84,6 @@ class DatasetView {
   // storage (e.g. full-batch matrix solvers). These are the *only* copies
   // left on the CV path, and each caller opts in knowingly.
   Matrix GatherFeatures() const;
-  // Column-blocked (feature-major) materialization for split-scan training;
-  // same rows as GatherFeatures, transposed into contiguous columns.
-  ColBlockMatrix GatherFeatureColumns() const;
   std::vector<int> GatherLabels() const;
   std::vector<double> GatherTargets() const;
   Dataset Materialize() const;

@@ -31,12 +31,6 @@ TreeTargets TreeTargets::Of(const DatasetView& train) {
   return targets;
 }
 
-Result<SortedColumns> BuildTreeIndex(const DatasetView& train,
-                                     SplitLayout layout) {
-  if (layout == SplitLayout::kRowMajor) return SortedColumns();
-  return SortedColumns::Build(train);
-}
-
 namespace {
 
 struct SplitCandidate {
@@ -45,139 +39,9 @@ struct SplitCandidate {
   double score = std::numeric_limits<double>::infinity();  // Lower = better.
 };
 
-size_t CeilLog2(size_t m) {
-  size_t bits = 0;
-  while ((size_t{1} << bits) < m) ++bits;
-  return bits;
-}
-
-// Row-order policies for BuildNodeImpl. Per node the builder calls
-// BeginNode, then SortedBy once per candidate feature (the node's ids in
-// that feature's value order), then EndNode; Values(f) reads feature f by
-// fit-local id. Everything else — leaf payloads, the split scan, the
-// partition — is shared, so the policies can differ only in how tied
-// values are ordered.
-
-// The default: ids come in (value, fit-local id) order from the fit's
-// shared SortedColumns, with copies of one row adjacent.
-class PresortedAccess {
- public:
-  PresortedAccess(const SortedColumns* index, uint32_t* sorted,
-                  uint64_t* keys, uint32_t* counts)
-      : index_(index), sorted_(sorted), keys_(keys), counts_(counts) {}
-
-  size_t num_features() const { return index_->cols(); }
-  const double* Values(size_t f) const { return index_->Column(f); }
-
-  void BeginNode(const uint32_t* ids, size_t n) {
-    // A walk costs one pass over the whole fit per feature; a key sort
-    // costs m log m steps, each dearer than a walk step. Walking once
-    // 6 m log m exceeds the fit's row count was the cheapest cut-off
-    // measured node by node on full-depth trees and on the benchmark's
-    // forest and GBDT grid (DESIGN.md §9); always walking is quadratic in
-    // the node count of deep trees.
-    walk_ = 6 * n * CeilLog2(n) > index_->rows();
-    if (walk_) {
-      for (size_t i = 0; i < n; ++i) ++counts_[ids[i]];
-    }
-  }
-
-  const uint32_t* SortedBy(size_t f, const uint32_t* ids, size_t n) {
-    uint32_t* out = sorted_;
-    if (walk_) {
-      // Emit each fit row as many times as it occurs in the node. Bootstrap
-      // multiplicities are Poisson(1), so a loop over them mispredicts at
-      // almost every row; instead store the id four times unconditionally
-      // and advance by its count. A later id (or the 3 ids of slack past
-      // n) overwrites the stores a count below 4 leaves behind.
-      const uint32_t* order = index_->Order(f);
-      size_t k = 0;
-      for (size_t p = 0; k < n; ++p) {
-        uint32_t id = order[p];
-        uint32_t count = counts_[id];
-        out[k] = id;
-        out[k + 1] = id;
-        out[k + 2] = id;
-        out[k + 3] = id;
-        if (count > 4) [[unlikely]] {
-          for (uint32_t c = 4; c < count; ++c) out[k + c] = id;
-        }
-        k += count;
-      }
-    } else {
-      // Dense ranks ascend with value, so sorting (rank << 32 | id) keys
-      // yields the same (value, id) order as the walk.
-      const uint32_t* rank = index_->Rank(f);
-      for (size_t i = 0; i < n; ++i) {
-        keys_[i] = (uint64_t{rank[ids[i]]} << 32) | ids[i];
-      }
-      std::sort(keys_, keys_ + n);
-      for (size_t i = 0; i < n; ++i) out[i] = static_cast<uint32_t>(keys_[i]);
-    }
-    return out;
-  }
-
-  void EndNode(const uint32_t* ids, size_t n) {
-    if (walk_) {
-      for (size_t i = 0; i < n; ++i) counts_[ids[i]] = 0;
-    }
-  }
-
- private:
-  const SortedColumns* index_;
-  uint32_t* sorted_;
-  uint64_t* keys_;
-  uint32_t* counts_;
-  bool walk_ = false;
-};
-
-// The reference: a node's ids are copied once and re-sorted in place for
-// each candidate feature by comparing values read from the parent
-// row-major matrix, so tied rows come in introsort's order. No index; the
-// bit-exactness tests and bench/micro_gather compare the default against
-// it.
-class RowMajorAccess {
- public:
-  // Feature f of fit-local rows, read through the parent matrix.
-  struct Column {
-    const Matrix* features;
-    const size_t* parent_rows;
-    size_t f;
-    double operator[](uint32_t id) const {
-      return (*features)(parent_rows[id], f);
-    }
-  };
-
-  RowMajorAccess(const Matrix* features, const size_t* parent_rows,
-                 uint32_t* scratch)
-      : features_(features), parent_rows_(parent_rows), scratch_(scratch) {}
-
-  size_t num_features() const { return features_->cols(); }
-  Column Values(size_t f) const { return {features_, parent_rows_, f}; }
-
-  void BeginNode(const uint32_t* ids, size_t n) {
-    std::copy(ids, ids + n, scratch_);
-  }
-
-  const uint32_t* SortedBy(size_t f, const uint32_t*, size_t n) {
-    Column value = Values(f);
-    std::sort(scratch_, scratch_ + n,
-              [&](uint32_t a, uint32_t b) { return value[a] < value[b]; });
-    return scratch_;
-  }
-
-  void EndNode(const uint32_t*, size_t) {}
-
- private:
-  const Matrix* features_;
-  const size_t* parent_rows_;
-  uint32_t* scratch_;
-};
-
 }  // namespace
 
-template <typename Access>
-int DecisionTree::BuildNodeImpl(Access& access, const TreeTargets& targets,
+int DecisionTree::BuildNodeImpl(NodeOrder& order, const TreeTargets& targets,
                                 TreeWorkspace* ws, uint32_t* ids, size_t n,
                                 int depth, Rng* rng) {
   BHPO_CHECK_GT(n, 0u);
@@ -225,7 +89,8 @@ int DecisionTree::BuildNodeImpl(Access& access, const TreeTargets& targets,
   }
 
   // Candidate features: all, or a random subset of max_features.
-  size_t num_features = access.num_features();
+  const SortedColumns& index = order.index();
+  size_t num_features = index.cols();
   std::vector<size_t>& features = ws->features_;
   features.resize(num_features);
   std::iota(features.begin(), features.end(), 0);
@@ -249,10 +114,10 @@ int DecisionTree::BuildNodeImpl(Access& access, const TreeTargets& targets,
   for (int c = 0; c < num_classes_; ++c) {
     node_sq += int64_t{node_counts[c]} * node_counts[c];
   }
-  access.BeginNode(ids, n);
+  order.BeginNode(ids, n);
   for (size_t f : features) {
-    const uint32_t* sorted = access.SortedBy(f, ids, n);
-    auto value = access.Values(f);
+    const uint32_t* sorted = order.SortedBy(f, ids, n);
+    const double* value = index.Column(f);
 
     if (task_ == Task::kClassification) {
       // Gini-weighted child sizes, n_s * (1 - sq_s / (n_s * n_s)) per side
@@ -317,7 +182,7 @@ int DecisionTree::BuildNodeImpl(Access& access, const TreeTargets& targets,
       }
     }
   }
-  access.EndNode(ids, n);
+  order.EndNode(ids, n);
 
   if (best.feature < 0) {
     // No valid split (e.g. all features constant): leaf.
@@ -327,7 +192,7 @@ int DecisionTree::BuildNodeImpl(Access& access, const TreeTargets& targets,
 
   // Stable partition of the node's ids by the chosen split: left rows keep
   // their order in place, right rows spill and follow in order.
-  auto value = access.Values(static_cast<size_t>(best.feature));
+  const double* value = index.Column(static_cast<size_t>(best.feature));
   uint32_t* spill = ws->spill_.data();
   size_t n_left = 0, n_right = 0;
   for (size_t i = 0; i < n; ++i) {
@@ -343,9 +208,8 @@ int DecisionTree::BuildNodeImpl(Access& access, const TreeTargets& targets,
 
   nodes_[node_id].feature = best.feature;
   nodes_[node_id].threshold = best.threshold;
-  int left =
-      BuildNodeImpl(access, targets, ws, ids, n_left, depth + 1, rng);
-  int right = BuildNodeImpl(access, targets, ws, ids + n_left, n_right,
+  int left = BuildNodeImpl(order, targets, ws, ids, n_left, depth + 1, rng);
+  int right = BuildNodeImpl(order, targets, ws, ids + n_left, n_right,
                             depth + 1, rng);
   nodes_[node_id].left = left;
   nodes_[node_id].right = right;
@@ -357,8 +221,7 @@ Status DecisionTree::Fit(const DatasetView& train) {
   if (!train.valid() || train.n() == 0) {
     return Status::InvalidArgument("cannot fit on an empty dataset");
   }
-  BHPO_ASSIGN_OR_RETURN(SortedColumns index,
-                        BuildTreeIndex(train, config_.layout));
+  BHPO_ASSIGN_OR_RETURN(SortedColumns index, SortedColumns::Build(train));
   std::vector<uint32_t> ids(train.n());
   std::iota(ids.begin(), ids.end(), 0);
   TreeWorkspace workspace;
@@ -399,24 +262,14 @@ Status DecisionTree::FitRows(const DatasetView& train,
   workspace->spill_.resize(m);
   workspace->scan_.resize(2 * m);
   workspace->class_counts_.resize(2 * static_cast<size_t>(num_classes_));
-  if (config_.layout == SplitLayout::kRowMajor) {
-    BHPO_RETURN_NOT_OK(CheckFiniteFeatures(train));
-    std::vector<size_t> parent_rows(n_fit);
-    for (size_t i = 0; i < n_fit; ++i) parent_rows[i] = train.parent_index(i);
-    RowMajorAccess access(&train.parent().features(), parent_rows.data(),
-                          workspace->sorted_.data());
-    BuildNodeImpl(access, targets, workspace, workspace->rows_.data(), m, 0,
-                  &rng);
-  } else {
-    BHPO_CHECK(index.rows() == n_fit && index.cols() == train.num_features())
-        << "FitRows needs the fit's BuildTreeIndex";
-    workspace->keys_.resize(m);
-    workspace->counts_.assign(n_fit, 0);
-    PresortedAccess access(&index, workspace->sorted_.data(),
-                           workspace->keys_.data(), workspace->counts_.data());
-    BuildNodeImpl(access, targets, workspace, workspace->rows_.data(), m, 0,
-                  &rng);
-  }
+  BHPO_CHECK(index.rows() == n_fit && index.cols() == train.num_features())
+      << "FitRows needs the fit's SortedColumns";
+  workspace->keys_.resize(m);
+  workspace->counts_.assign(n_fit, 0);
+  NodeOrder order(&index, workspace->sorted_.data(), workspace->keys_.data(),
+                  workspace->counts_.data());
+  BuildNodeImpl(order, targets, workspace, workspace->rows_.data(), m, 0,
+                &rng);
   fitted_ = true;
   return Status::OK();
 }

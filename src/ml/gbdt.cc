@@ -41,7 +41,6 @@ Result<std::unique_ptr<DecisionTree>> FitResidualTree(
   tree_config.max_depth = config.max_depth;
   tree_config.min_samples_leaf = config.min_samples_leaf;
   tree_config.seed = seed;
-  tree_config.layout = config.layout;
   auto tree = std::make_unique<DecisionTree>(tree_config);
   BHPO_RETURN_NOT_OK(
       tree->FitRows(train, index, rows, residuals, workspace));
@@ -88,8 +87,7 @@ Status GbdtModel::Fit(const DatasetView& train) {
 
   // Every residual tree of the fit trains on one presorted index; only the
   // residual targets change between trees.
-  BHPO_ASSIGN_OR_RETURN(SortedColumns index,
-                        BuildTreeIndex(train, config_.layout));
+  BHPO_ASSIGN_OR_RETURN(SortedColumns index, SortedColumns::Build(train));
   TreeTargets residual_targets;
   residual_targets.values.resize(n);
   std::vector<double>& residuals = residual_targets.values;

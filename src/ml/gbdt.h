@@ -25,8 +25,6 @@ struct GbdtConfig {
   // Fraction of rows used per round; 1.0 = all (plain gradient boosting).
   double subsample = 1.0;
   uint64_t seed = 0;
-  // How the stage trees order rows during training (see SplitLayout).
-  SplitLayout layout = SplitLayout::kColBlocked;
 
   Status Validate() const;
 };

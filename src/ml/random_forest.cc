@@ -35,8 +35,7 @@ Status RandomForest::Fit(const DatasetView& train) {
 
   // One presorted index and one target table serve every tree: bags are
   // lists of fit-local row ids, so no tree gathers or sorts the fold again.
-  BHPO_ASSIGN_OR_RETURN(SortedColumns index,
-                        BuildTreeIndex(train, tree_config.layout));
+  BHPO_ASSIGN_OR_RETURN(SortedColumns index, SortedColumns::Build(train));
   TreeTargets targets = TreeTargets::Of(train);
   TreeWorkspace workspace;
   size_t n = train.n();

@@ -7,7 +7,10 @@
 #include <utility>
 
 namespace bhpo {
+namespace {
 
+// InvalidArgument naming the first NaN or +-Inf feature value of the view's
+// rows, else OK.
 Status CheckFiniteFeatures(const DatasetView& view) {
   size_t d = view.num_features();
   for (size_t i = 0; i < view.n(); ++i) {
@@ -23,6 +26,8 @@ Status CheckFiniteFeatures(const DatasetView& view) {
   return Status::OK();
 }
 
+}  // namespace
+
 Result<SortedColumns> SortedColumns::Build(const DatasetView& train) {
   if (!train.valid() || train.n() == 0) {
     return Status::InvalidArgument("cannot index an empty dataset");
@@ -32,9 +37,15 @@ Result<SortedColumns> SortedColumns::Build(const DatasetView& train) {
     return Status::InvalidArgument("too many rows for a 32-bit row id");
   }
   BHPO_RETURN_NOT_OK(CheckFiniteFeatures(train));
+  size_t d = train.num_features();
   SortedColumns out;
-  out.columns_ = train.GatherFeatureColumns();
-  size_t d = out.cols();
+  out.rows_ = n;
+  out.cols_ = d;
+  out.columns_.resize(n * d);
+  for (size_t i = 0; i < n; ++i) {
+    const double* row = train.row(i);
+    for (size_t f = 0; f < d; ++f) out.columns_[f * n + i] = row[f];
+  }
 
   out.order_.resize(n * d);
   out.rank_.resize(n * d);

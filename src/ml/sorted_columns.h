@@ -1,19 +1,15 @@
 #ifndef BHPO_ML_SORTED_COLUMNS_H_
 #define BHPO_ML_SORTED_COLUMNS_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "common/col_block_matrix.h"
 #include "common/status.h"
 #include "data/dataset_view.h"
 
 namespace bhpo {
-
-// InvalidArgument naming the first NaN or +-Inf feature value of the view's
-// rows, else OK.
-Status CheckFiniteFeatures(const DatasetView& view);
 
 // Presorted feature index over one ensemble fit's training rows, built once
 // per RandomForest / GbdtModel / standalone DecisionTree fit and shared by
@@ -21,30 +17,31 @@ Status CheckFiniteFeatures(const DatasetView& view);
 // the training view the index was built from.
 //
 // Per feature f it holds:
-//   Column(f) — the fit's values, gathered column-blocked (contiguous);
+//   Column(f) — the fit's values, one contiguous array per feature;
 //   Order(f)  — all fit-local ids sorted by (value, id);
 //   Rank(f)   — each id's dense rank in that order: equal values share a
 //               rank, and ranks ascend with value.
-// A node's rows in feature order are then either a walk over Order(f)
-// (large nodes) or a sort of packed (rank << 32 | id) integer keys (small
-// nodes) — never a comparator sort over doubles. Both yield the same
-// (value, id) order, so the choice is invisible in the trees.
+// NodeOrder (below) reads Order and Rank to put a node's rows in feature
+// order.
 //
-// Memory: rows() * cols() * 16 bytes (8 value + 4 order + 4 rank), plus
-// column padding.
+// Memory: rows() * cols() * 16 bytes (8 value + 4 order + 4 rank).
 class SortedColumns {
  public:
   SortedColumns() = default;
 
   // Fails with InvalidArgument when the view is empty, has more rows than
   // a 32-bit id can address, or holds a non-finite feature value (NaN has
-  // no place in the order every split search relies on).
+  // no place in the order every split search relies on). A view with no
+  // features gives an index of rows() = n and cols() = 0.
   static Result<SortedColumns> Build(const DatasetView& train);
 
-  size_t rows() const { return columns_.rows(); }
-  size_t cols() const { return columns_.cols(); }
+  size_t rows() const { return rows_; }
+  size_t cols() const { return cols_; }
 
-  const double* Column(size_t f) const { return columns_.Column(f); }
+  const double* Column(size_t f) const {
+    BHPO_CHECK_LT(f, cols());
+    return columns_.data() + f * rows();
+  }
   const uint32_t* Order(size_t f) const {
     BHPO_CHECK_LT(f, cols());
     return order_.data() + f * rows();
@@ -55,9 +52,101 @@ class SortedColumns {
   }
 
  private:
-  ColBlockMatrix columns_;
+  size_t rows_ = 0;
+  size_t cols_ = 0;
+  std::vector<double> columns_;
   std::vector<uint32_t> order_;
   std::vector<uint32_t> rank_;
+};
+
+// Puts one tree node's fit-local ids in (value, id) order, feature by
+// feature, from a SortedColumns index. A node may hold an id more than
+// once (a bootstrap bag); copies of one id come out adjacent. Per node:
+// BeginNode, then SortedBy once per candidate feature, then EndNode.
+//
+// A large node walks the presorted Order(f) and emits each id as often as
+// it occurs in the node; a small one sorts packed (rank << 32 | id) keys.
+// Both give the same sequence, so the choice never shows in a tree.
+//
+// Buffers, all owned by the caller: `sorted` holds at least m + 3 ids and
+// `keys` m keys for the largest node m; `counts` holds rows() zeros and is
+// zero again after each EndNode.
+class NodeOrder {
+ public:
+  NodeOrder(const SortedColumns* index, uint32_t* sorted, uint64_t* keys,
+            uint32_t* counts)
+      : index_(index), sorted_(sorted), keys_(keys), counts_(counts) {}
+
+  // Whether a node of m ids out of n_fit fit rows walks. A walk costs one
+  // pass over the whole fit per feature; a key sort costs m log m steps,
+  // each dearer than a walk step. Walking once 6 m ceil(log2 m) exceeds
+  // n_fit was the cheapest cut-off measured node by node on full-depth
+  // trees and on the benchmark's forest and GBDT grid (DESIGN.md §9);
+  // always walking is quadratic in the node count of deep trees.
+  static bool Walks(size_t m, size_t n_fit) {
+    size_t log2_m = 0;
+    while ((size_t{1} << log2_m) < m) ++log2_m;
+    return 6 * m * log2_m > n_fit;
+  }
+
+  const SortedColumns& index() const { return *index_; }
+
+  void BeginNode(const uint32_t* ids, size_t n) {
+    walk_ = Walks(n, index_->rows());
+    if (walk_) {
+      for (size_t i = 0; i < n; ++i) ++counts_[ids[i]];
+    }
+  }
+
+  // The node's n ids in feature f's (value, id) order, valid until the
+  // next call.
+  const uint32_t* SortedBy(size_t f, const uint32_t* ids, size_t n) {
+    uint32_t* out = sorted_;
+    if (walk_) {
+      // Bootstrap multiplicities are Poisson(1), so a loop over them
+      // mispredicts at almost every row; instead store the id four times
+      // unconditionally and advance by its count. A later id (or the 3 ids
+      // of slack past n) overwrites the stores a count below 4 leaves
+      // behind.
+      const uint32_t* order = index_->Order(f);
+      size_t k = 0;
+      for (size_t p = 0; k < n; ++p) {
+        uint32_t id = order[p];
+        uint32_t count = counts_[id];
+        out[k] = id;
+        out[k + 1] = id;
+        out[k + 2] = id;
+        out[k + 3] = id;
+        if (count > 4) [[unlikely]] {
+          for (uint32_t c = 4; c < count; ++c) out[k + c] = id;
+        }
+        k += count;
+      }
+    } else {
+      // Dense ranks ascend with value, so sorting (rank << 32 | id) keys
+      // yields the same (value, id) order as the walk.
+      const uint32_t* rank = index_->Rank(f);
+      for (size_t i = 0; i < n; ++i) {
+        keys_[i] = (uint64_t{rank[ids[i]]} << 32) | ids[i];
+      }
+      std::sort(keys_, keys_ + n);
+      for (size_t i = 0; i < n; ++i) out[i] = static_cast<uint32_t>(keys_[i]);
+    }
+    return out;
+  }
+
+  void EndNode(const uint32_t* ids, size_t n) {
+    if (walk_) {
+      for (size_t i = 0; i < n; ++i) counts_[ids[i]] = 0;
+    }
+  }
+
+ private:
+  const SortedColumns* index_;
+  uint32_t* sorted_;
+  uint64_t* keys_;
+  uint32_t* counts_;
+  bool walk_ = false;
 };
 
 }  // namespace bhpo

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/col_block_matrix.h"
 #include "common/matrix.h"
 #include "common/rng.h"
 #include "common/simd.h"
@@ -171,84 +170,6 @@ TEST(GatherTest, RuntimeToggleReportsAndRestores) {
             SimdCompiled() && SetSimdEnabled(true));
   SetSimdEnabled(was);
   EXPECT_EQ(SimdActive(), was);
-}
-
-// ---------------------------------------------------------------------------
-// ColBlockMatrix
-// ---------------------------------------------------------------------------
-
-TEST(ColBlockMatrixTest, TransposesIdentitySelection) {
-  Matrix m(5, 3);
-  for (size_t r = 0; r < 5; ++r) {
-    for (size_t c = 0; c < 3; ++c) m(r, c) = 10.0 * r + c;
-  }
-  ColBlockMatrix blocked = ColBlockMatrix::FromMatrix(m);
-  ASSERT_EQ(blocked.rows(), 5u);
-  ASSERT_EQ(blocked.cols(), 3u);
-  EXPECT_GE(blocked.col_stride(), blocked.rows());
-  EXPECT_EQ(blocked.col_stride() % ColBlockMatrix::kColumnPad, 0u);
-  for (size_t r = 0; r < 5; ++r) {
-    for (size_t c = 0; c < 3; ++c) {
-      EXPECT_EQ(blocked.at(r, c), m(r, c));
-      EXPECT_EQ(blocked.Column(c)[r], m(r, c));
-    }
-  }
-  // Padding rows are zero, so vectorized column consumers can read full
-  // pad-width tails safely.
-  for (size_t c = 0; c < 3; ++c) {
-    for (size_t r = 5; r < blocked.col_stride(); ++r) {
-      EXPECT_EQ(blocked.Column(c)[r], 0.0);
-    }
-  }
-}
-
-TEST(ColBlockMatrixTest, GathersSubsetWithDuplicates) {
-  Matrix m(6, 4);
-  for (size_t r = 0; r < 6; ++r) {
-    for (size_t c = 0; c < 4; ++c) m(r, c) = 100.0 * r + c;
-  }
-  std::vector<size_t> indices = {5, 1, 1, 0};
-  ColBlockMatrix blocked = ColBlockMatrix::FromMatrix(m, indices);
-  ASSERT_EQ(blocked.rows(), indices.size());
-  for (size_t i = 0; i < indices.size(); ++i) {
-    for (size_t c = 0; c < 4; ++c) {
-      EXPECT_EQ(blocked.at(i, c), m(indices[i], c));
-    }
-  }
-}
-
-TEST(ColBlockMatrixTest, EmptyAndSingleRowShapes) {
-  Matrix m(3, 2);
-  ColBlockMatrix empty = ColBlockMatrix::FromMatrix(m, {});
-  EXPECT_TRUE(empty.empty());
-  EXPECT_EQ(empty.rows(), 0u);
-  EXPECT_EQ(empty.cols(), 2u);
-
-  m(2, 0) = 5.0;
-  m(2, 1) = 6.0;
-  ColBlockMatrix one = ColBlockMatrix::FromMatrix(m, {2});
-  ASSERT_EQ(one.rows(), 1u);
-  EXPECT_EQ(one.at(0, 0), 5.0);
-  EXPECT_EQ(one.at(0, 1), 6.0);
-}
-
-// Sizes around the construction tiles (row panel 128, column block 8):
-// exercise full panels, partial panels, and partial column blocks.
-TEST(ColBlockMatrixTest, TileBoundarySizes) {
-  Rng rng(7);
-  for (size_t rows : {127u, 128u, 129u, 300u}) {
-    for (size_t cols : {7u, 8u, 9u, 17u}) {
-      Matrix m(rows, cols);
-      for (double& x : m.data()) x = rng.Uniform(-1.0, 1.0);
-      ColBlockMatrix blocked = ColBlockMatrix::FromMatrix(m);
-      for (size_t r = 0; r < rows; ++r) {
-        for (size_t c = 0; c < cols; ++c) {
-          ASSERT_EQ(blocked.at(r, c), m(r, c))
-              << rows << "x" << cols << " @ " << r << "," << c;
-        }
-      }
-    }
-  }
 }
 
 // SelectRows now runs on the gather kernel: identical output either way.

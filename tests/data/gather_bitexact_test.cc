@@ -1,8 +1,8 @@
 // Bit-exactness lockdown for the vectorized gather: for any composition of
 // DatasetViews, GatherFeatures (run-coalescing + optional AVX2) must
 // produce a byte-identical matrix to the historical per-row scalar loop,
-// and the column-blocked materialization must hold exactly the same
-// doubles transposed. "Byte-identical" is memcmp over the raw storage —
+// and the tree index's column store (SortedColumns) must hold exactly the
+// same doubles transposed. "Byte-identical" is memcmp over the raw storage —
 // not EXPECT_DOUBLE_EQ — because the evaluation cache and every
 // determinism guarantee downstream assume gathers never perturb a bit.
 
@@ -15,6 +15,7 @@
 #include "common/rng.h"
 #include "data/dataset_view.h"
 #include "data/synthetic.h"
+#include "ml/sorted_columns.h"
 #include "tests/common/scoped_simd.h"
 
 namespace bhpo {
@@ -51,17 +52,19 @@ void ExpectByteIdenticalGathers(const DatasetView& view, const char* label) {
     ASSERT_EQ(0, std::memcmp(gathered.data().data(), reference.data().data(),
                              reference.size() * sizeof(double)))
         << label << " simd=" << simd;
+  }
 
-    ColBlockMatrix blocked = view.GatherFeatureColumns();
-    ASSERT_EQ(blocked.rows(), reference.rows()) << label;
-    ASSERT_EQ(blocked.cols(), reference.cols()) << label;
+  // SortedColumns indexes non-empty views only.
+  if (view.n() == 0) return;
+  SortedColumns index = SortedColumns::Build(view).value();
+  ASSERT_EQ(index.rows(), reference.rows()) << label;
+  ASSERT_EQ(index.cols(), reference.cols()) << label;
+  for (size_t c = 0; c < reference.cols(); ++c) {
+    const double* column = index.Column(c);
     for (size_t r = 0; r < reference.rows(); ++r) {
-      for (size_t c = 0; c < reference.cols(); ++c) {
-        // Exact equality of bits, via doubles that compare == iff their
-        // bit patterns match here (no NaNs in synthetic data).
-        ASSERT_EQ(blocked.at(r, c), reference(r, c))
-            << label << " simd=" << simd << " @ " << r << "," << c;
-      }
+      // Exact equality of bits, via doubles that compare == iff their bit
+      // patterns match here (no NaNs in synthetic data).
+      ASSERT_EQ(column[r], reference(r, c)) << label << " @ " << r << "," << c;
     }
   }
 }

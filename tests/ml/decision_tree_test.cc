@@ -133,7 +133,7 @@ TEST(DecisionTreeTest, FitRowsRejectsTwoTo26Ids) {
   // training.
   Dataset data = XorData();
   DatasetView view(data);
-  SortedColumns index = BuildTreeIndex(view, SplitLayout::kColBlocked).value();
+  SortedColumns index = SortedColumns::Build(view).value();
   std::vector<uint32_t> ids(DecisionTree::kMaxFitRows, 0);
   TreeWorkspace workspace;
   DecisionTree tree;
