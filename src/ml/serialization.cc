@@ -231,6 +231,11 @@ Result<std::unique_ptr<DecisionTree>> LoadDecisionTree(std::istream& in) {
   BHPO_RETURN_NOT_OK(ReadValue(in, "max_features", &config.max_features));
   BHPO_RETURN_NOT_OK(ReadValue(in, "seed", &config.seed));
   BHPO_RETURN_NOT_OK(config.Validate());
+  if (task == Task::kClassification && num_classes < 2) {
+    return Status::InvalidArgument("classification tree needs 2+ classes");
+  }
+  size_t leaf_size =
+      task == Task::kClassification ? static_cast<size_t>(num_classes) : 1;
 
   auto tree = std::make_unique<DecisionTree>(config);
   tree->task_ = task;
@@ -244,7 +249,8 @@ Result<std::unique_ptr<DecisionTree>> LoadDecisionTree(std::istream& in) {
     return Status::InvalidArgument("implausible node count");
   }
   tree->nodes_.resize(node_count);
-  for (DecisionTree::Node& node : tree->nodes_) {
+  for (size_t i = 0; i < node_count; ++i) {
+    DecisionTree::Node& node = tree->nodes_[i];
     size_t value_count = 0;
     BHPO_RETURN_NOT_OK(ReadValue(in, "feature", &node.feature));
     BHPO_RETURN_NOT_OK(ReadValue(in, "threshold", &node.threshold));
@@ -258,10 +264,21 @@ Result<std::unique_ptr<DecisionTree>> LoadDecisionTree(std::istream& in) {
     for (double& v : node.value) {
       BHPO_RETURN_NOT_OK(ReadValue(in, "leaf value", &v));
     }
-    // Child pointers must stay inside the node array.
-    if (node.left >= static_cast<int>(node_count) ||
-        node.right >= static_cast<int>(node_count)) {
-      return Status::InvalidArgument("child index out of range");
+    if (node.feature < -1) {
+      return Status::InvalidArgument("split feature below -1");
+    }
+    if (node.feature >= 0) {
+      // The builder writes nodes in pre-order, so children come after their
+      // node and inside the array; every descent then ends at a leaf.
+      auto follows = [&](int child) {
+        return child > static_cast<int>(i) &&
+               child < static_cast<int>(node_count);
+      };
+      if (!follows(node.left) || !follows(node.right)) {
+        return Status::InvalidArgument("child index out of range");
+      }
+    } else if (node.value.size() != leaf_size) {
+      return Status::InvalidArgument("leaf payload size != outputs");
     }
   }
   tree->fitted_ = true;
@@ -318,6 +335,9 @@ Result<std::unique_ptr<RandomForest>> LoadRandomForest(std::istream& in) {
   for (size_t t = 0; t < tree_count; ++t) {
     BHPO_ASSIGN_OR_RETURN(std::unique_ptr<DecisionTree> tree,
                           LoadDecisionTree(in));
+    if (tree->task() != task || tree->num_classes() != num_classes) {
+      return Status::InvalidArgument("forest tree task != forest task");
+    }
     forest->trees_.push_back(std::move(tree));
   }
   forest->fitted_ = true;
@@ -404,6 +424,9 @@ Result<std::unique_ptr<GbdtModel>> LoadGbdt(std::istream& in) {
     for (size_t t = 0; t < trees; ++t) {
       BHPO_ASSIGN_OR_RETURN(std::unique_ptr<DecisionTree> tree,
                             LoadDecisionTree(in));
+      if (tree->task() != Task::kRegression) {
+        return Status::InvalidArgument("gbdt stage is not a regression tree");
+      }
       stage.push_back(std::move(tree));
     }
     model->stages_.push_back(std::move(stage));

@@ -2,6 +2,8 @@
 
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -113,6 +115,97 @@ TEST(TreeSerializationTest, OutOfRangeChildRejected) {
       "tree\ntask classification 2\nconfig 0 2 1 0 0\n"
       "depth 1 nodes 1\n0 0.5 5 6 2 0.5 0.5\n");  // children 5,6 of 1 node
   EXPECT_FALSE(LoadDecisionTree(bad).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Trees that would crash or hang prediction are rejected on load. Each
+// stream is a valid model except for the one field under test, and a
+// control with that field fixed loads.
+// ---------------------------------------------------------------------------
+
+// A saved tree of `task` ("classification K" or "regression 0") with the
+// given node lines.
+std::string TreeText(const std::string& task, const std::string& nodes,
+                     int node_count) {
+  return "tree\ntask " + task + "\nconfig 0 2 1 0 0\ndepth 1 nodes " +
+         std::to_string(node_count) + "\n" + nodes;
+}
+
+// A root split on feature 0 with two class-frequency leaves.
+const char kStump[] =
+    "0 0.5 1 2 0\n-1 0 -1 -1 2 1 0\n-1 0 -1 -1 2 0 1\n";
+
+Status LoadTreeStatus(const std::string& text) {
+  std::stringstream in(text);
+  return LoadDecisionTree(in).status();
+}
+
+TEST(TreeSerializationTest, SplitChildrenMustFollowTheirNode) {
+  ASSERT_TRUE(LoadTreeStatus(TreeText("classification 2", kStump, 3)).ok());
+  const char* bad[] = {
+      "0 0.5 -5 1 0\n-1 0 -1 -1 2 1 0\n",  // Negative child.
+      "0 0.5 0 0 0\n-1 0 -1 -1 2 1 0\n",   // Its own child: a cycle.
+      "-1 0 -1 -1 2 1 0\n0 0.5 0 0 0\n",   // A child before its node.
+  };
+  for (const char* nodes : bad) {
+    EXPECT_EQ(LoadTreeStatus(TreeText("classification 2", nodes, 2)).code(),
+              StatusCode::kInvalidArgument)
+        << nodes;
+  }
+}
+
+TEST(TreeSerializationTest, FeatureBelowLeafMarkerRejected) {
+  EXPECT_EQ(LoadTreeStatus(TreeText("classification 2",
+                                    "-2 0 -1 -1 2 1 0\n", 1))
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(TreeSerializationTest, LeafPayloadMustMatchOutputs) {
+  ASSERT_TRUE(
+      LoadTreeStatus(TreeText("classification 3", "-1 0 -1 -1 3 1 0 0\n", 1))
+          .ok());
+  ASSERT_TRUE(
+      LoadTreeStatus(TreeText("regression 0", "-1 0 -1 -1 1 2.5\n", 1)).ok());
+  const std::pair<const char*, const char*> bad[] = {
+      {"classification 3", "-1 0 -1 -1 1 1\n"},  // 3 classes, 1 value.
+      {"classification 1", "-1 0 -1 -1 1 1\n"},  // Fewer than 2 classes.
+      {"regression 0", "-1 0 -1 -1 2 1 0\n"},    // Regression, 2 values.
+  };
+  for (const auto& [task, nodes] : bad) {
+    EXPECT_EQ(LoadTreeStatus(TreeText(task, nodes, 1)).code(),
+              StatusCode::kInvalidArgument)
+        << task << ": " << nodes;
+  }
+}
+
+TEST(TreeSerializationTest, EnsembleMembersMustMatchTheEnsemble) {
+  std::string cls = TreeText("classification 2", kStump, 3);
+  std::string cls3 = TreeText("classification 3", "-1 0 -1 -1 3 1 0 0\n", 1);
+  std::string reg = TreeText("regression 0", "-1 0 -1 -1 1 0.5\n", 1);
+  auto forest = [](const std::string& task, const std::string& tree) {
+    std::stringstream in("forest\ntask " + task + "\nconfig 1 1 0\ntrees 1\n" +
+                         tree);
+    return LoadRandomForest(in).status();
+  };
+  EXPECT_TRUE(forest("classification 2", cls).ok());
+  EXPECT_TRUE(forest("regression 0", reg).ok());
+  EXPECT_EQ(forest("classification 2", cls3).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(forest("classification 2", reg).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(forest("regression 0", cls).code(), StatusCode::kInvalidArgument);
+
+  // A GBDT stage is one regression tree per output, whatever the task.
+  auto gbdt = [](const std::string& tree) {
+    std::stringstream in(
+        "gbdt\ntask classification 2\nconfig 1 0.1 3 1 1 0\nbase 2 0 0\n"
+        "stages 1\nstage 2\n" +
+        tree + tree);
+    return LoadGbdt(in).status();
+  };
+  EXPECT_TRUE(gbdt(reg).ok());
+  EXPECT_EQ(gbdt(cls).code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ForestSerializationTest, RoundTripPreservesPredictions) {
