@@ -93,9 +93,10 @@ if [[ "$run_asan" == 1 ]]; then
   ./build-asan/tests/bhpo_data_test --gtest_filter='GatherBitExact*'
   # The tree lock digests, the repeated-id walk and the node-order oracle:
   # the walk stores 4 ids at a time into the sorted-ids slack. The tree
-  # loaders reject the malformed models that read out of bounds.
+  # loaders reject the malformed models that read out of bounds. The
+  # prediction-path suite walks every model over full and subset views.
   ./build-asan/tests/bhpo_ml_test \
-    --gtest_filter='TreeLayoutBitExact*:TreeBitExact*:SortedColumns*:NodeOrder*:NonFiniteFeature*:*Serialization*'
+    --gtest_filter='TreeLayoutBitExact*:TreeBitExact*:SortedColumns*:NodeOrder*:NonFiniteFeature*:*Serialization*:PredictionPath*'
   # Matrix-product kernels and the MLP training lock, both dispatch
   # variants: the register tiles' row and column tails are exactly where an
   # out-of-bounds load or store would hide. The kernel suite also flips the

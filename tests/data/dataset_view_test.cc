@@ -1,5 +1,7 @@
 #include "data/dataset_view.h"
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -207,15 +209,18 @@ void ExpectViewFitEqualsMaterializedFit(const std::string& family,
               from_view->PredictLabels(data.features()))
         << family;
   } else {
+    // Bit equality: both fits and both prediction paths run the same
+    // operations in the same order.
     std::vector<double> v = from_view->PredictValues(data.features());
     std::vector<double> c = from_copy->PredictValues(data.features());
-    ASSERT_EQ(v.size(), c.size()) << family;
-    for (size_t i = 0; i < v.size(); ++i) {
-      EXPECT_DOUBLE_EQ(v[i], c[i]) << family << " row " << i;
-    }
     std::vector<double> vv = from_view->PredictValues(DatasetView(data));
+    ASSERT_EQ(v.size(), c.size()) << family;
+    ASSERT_EQ(vv.size(), v.size()) << family;
     for (size_t i = 0; i < v.size(); ++i) {
-      EXPECT_DOUBLE_EQ(vv[i], v[i]) << family << " row " << i;
+      EXPECT_EQ(std::bit_cast<uint64_t>(v[i]), std::bit_cast<uint64_t>(c[i]))
+          << family << " row " << i;
+      EXPECT_EQ(std::bit_cast<uint64_t>(vv[i]), std::bit_cast<uint64_t>(v[i]))
+          << family << " row " << i;
     }
   }
 }

@@ -38,6 +38,10 @@ class Fnv1a {
     U64(v.size());
     for (double x : v) Double(x);
   }
+  void Labels(const std::vector<int>& v) {
+    U64(v.size());
+    for (int x : v) U64(static_cast<uint64_t>(static_cast<int64_t>(x)));
+  }
   uint64_t value() const { return hash_; }
 
  private:
