@@ -2,15 +2,23 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "data/split.h"
 
 namespace bhpo {
 
+Result<size_t> GenFoldsOptions::NumFolds() const {
+  if (k_spe > std::numeric_limits<size_t>::max() - k_gen) {
+    return Status::InvalidArgument("k_gen + k_spe overflows");
+  }
+  return k_gen + k_spe;
+}
+
 Result<FoldSet> GenFolds(const Grouping& grouping,
                          const std::vector<size_t>& subset,
                          const GenFoldsOptions& options, Rng* rng) {
-  size_t k = options.k_gen + options.k_spe;
+  BHPO_ASSIGN_OR_RETURN(size_t k, options.NumFolds());
   if (k < 2) return Status::InvalidArgument("k_gen + k_spe must be >= 2");
   if (subset.size() < k) {
     return Status::InvalidArgument("subset smaller than fold count");

@@ -15,6 +15,10 @@ struct GenFoldsOptions {
   // Fraction of a special fold drawn from its home group; the remainder is
   // stratified over the other groups.
   double special_bias = 0.8;
+
+  // k_gen + k_spe; InvalidArgument when the sum wraps around size_t (a
+  // negative count cast to size_t).
+  Result<size_t> NumFolds() const;
 };
 
 // Builds k_gen general + k_spe special folds over `subset` (absolute row

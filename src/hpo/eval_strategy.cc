@@ -199,7 +199,8 @@ Result<std::unique_ptr<EnhancedStrategy>> EnhancedStrategy::Create(
     const Dataset& train, const GroupingOptions& grouping_options,
     const GenFoldsOptions& fold_options, const ScoringOptions& scoring,
     const StrategyOptions& options) {
-  if (fold_options.k_gen + fold_options.k_spe != options.num_folds) {
+  BHPO_ASSIGN_OR_RETURN(size_t num_folds, fold_options.NumFolds());
+  if (num_folds != options.num_folds) {
     return Status::InvalidArgument(
         "k_gen + k_spe must equal num_folds (the paper keeps the total at "
         "5)");

@@ -239,6 +239,9 @@ Status RunCli(int argc, char** argv) {
     GenFoldsOptions folds;
     BHPO_ASSIGN_OR_RETURN(int k_gen, flags.GetInt("k-gen", 3));
     BHPO_ASSIGN_OR_RETURN(int k_spe, flags.GetInt("k-spe", 2));
+    if (k_gen < 0 || k_spe < 0) {
+      return Status::InvalidArgument("--k-gen and --k-spe must be >= 0");
+    }
     folds.k_gen = static_cast<size_t>(k_gen);
     folds.k_spe = static_cast<size_t>(k_spe);
     options.num_folds = folds.k_gen + folds.k_spe;
