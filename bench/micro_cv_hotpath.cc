@@ -35,8 +35,6 @@ namespace {
 class CentroidModel : public Model {
  public:
   using Model::Fit;
-  using Model::PredictLabels;
-  using Model::PredictValues;
 
   Status Fit(const DatasetView& train) override {
     if (!train.valid() || train.n() == 0) {
@@ -77,21 +75,13 @@ class CentroidModel : public Model {
     return Status::OK();
   }
 
-  std::vector<int> PredictLabels(const Matrix& features) const override {
-    std::vector<int> labels(features.rows());
-    for (size_t r = 0; r < features.rows(); ++r) {
-      labels[r] = Nearest(features.Row(r));
-    }
+  std::vector<int> PredictLabels(const FeatureRows& rows) const override {
+    std::vector<int> labels(rows.n());
+    for (size_t r = 0; r < rows.n(); ++r) labels[r] = Nearest(rows.row(r));
     return labels;
   }
 
-  std::vector<int> PredictLabels(const DatasetView& view) const override {
-    std::vector<int> labels(view.n());
-    for (size_t r = 0; r < view.n(); ++r) labels[r] = Nearest(view.row(r));
-    return labels;
-  }
-
-  std::vector<double> PredictValues(const Matrix&) const override {
+  std::vector<double> PredictValues(const FeatureRows&) const override {
     BHPO_CHECK(false) << "classification-only bench model";
     return {};
   }

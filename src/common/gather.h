@@ -7,8 +7,8 @@ namespace bhpo {
 
 // Indexed row gather: the one memory-movement primitive behind every
 // explicit materialization in the library (DatasetView::GatherFeatures,
-// Matrix::SelectRows, the MLP mini-batch gather, GBDT's per-round stage
-// gather). Copies `count` rows of `cols` doubles each out of a row-major
+// Matrix::SelectRows, the MLP mini-batch gather, the MLP's subset-view
+// prediction through FeatureRows::Dense). Copies `count` rows of `cols` doubles each out of a row-major
 // source whose rows are `src_stride` doubles apart:
 //
 //   dst[i * cols + j] = src[indices[i] * src_stride + j]

@@ -54,11 +54,8 @@ std::vector<std::vector<size_t>> DatasetView::IndicesByClass() const {
 
 Matrix DatasetView::GatherFeatures() const {
   if (!has_indices_) return parent().features();
-  size_t d = num_features();
-  const Matrix& src = parent().features();
-  Matrix out(indices_.size(), d);
-  GatherRows(src.data().data(), d, d, indices_.data(), indices_.size(),
-             out.data().data());
+  Matrix out;
+  FeatureRows(*this).Dense(&out);
   return out;
 }
 
@@ -83,6 +80,20 @@ std::vector<double> DatasetView::GatherTargets() const {
 Dataset DatasetView::Materialize() const {
   if (!has_indices_) return parent();
   return parent().Subset(indices_);
+}
+
+FeatureRows::FeatureRows(const DatasetView& view)
+    : matrix_(&view.parent().features()),
+      indices_(view.has_indices_ ? &view.indices_ : nullptr),
+      n_(view.n()) {}
+
+const Matrix& FeatureRows::Dense(Matrix* buffer) const {
+  if (indices_ == nullptr) return *matrix_;
+  size_t d = matrix_->cols();
+  *buffer = Matrix(n_, d);
+  GatherRows(matrix_->data().data(), d, d, indices_->data(), n_,
+             buffer->data().data());
+  return *buffer;
 }
 
 }  // namespace bhpo

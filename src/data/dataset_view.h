@@ -89,9 +89,44 @@ class DatasetView {
   Dataset Materialize() const;
 
  private:
+  friend class FeatureRows;
+
   const Dataset* parent_ = nullptr;
   bool has_indices_ = false;
   std::vector<size_t> indices_;
+};
+
+// Feature rows to predict on: the one input type of every model's
+// prediction methods. Converts implicitly from a dense Matrix (all of its
+// rows) and from a DatasetView (the parent's feature matrix plus the view's
+// index table, none for a full view), so a model writes each prediction
+// body once and walks rows in place either way. Non-owning like a view: the
+// matrix and the view's index table must outlive it, so take it as a
+// parameter and never store it.
+class FeatureRows {
+ public:
+  FeatureRows(const Matrix& features)  // NOLINT(runtime/explicit)
+      : matrix_(&features), n_(features.rows()) {}
+  FeatureRows(const DatasetView& view);  // NOLINT(runtime/explicit)
+
+  size_t n() const { return n_; }
+
+  // Contiguous feature row i (points into the source matrix).
+  const double* row(size_t i) const {
+    BHPO_CHECK_LT(i, n_);
+    return matrix_->Row(indices_ == nullptr ? i : (*indices_)[i]);
+  }
+
+  // The rows as one dense matrix, for models that need one (matrix
+  // products): the source matrix itself when there is no index table,
+  // otherwise the rows gathered once into *buffer.
+  const Matrix& Dense(Matrix* buffer) const;
+
+ private:
+  const Matrix* matrix_;
+  // Null: the rows are the matrix's own rows, in order.
+  const std::vector<size_t>* indices_ = nullptr;
+  size_t n_;
 };
 
 }  // namespace bhpo

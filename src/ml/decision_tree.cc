@@ -284,69 +284,33 @@ const DecisionTree::Node& DecisionTree::Descend(const double* row) const {
   return nodes_[node];
 }
 
-std::vector<int> DecisionTree::PredictLabels(const Matrix& features) const {
+std::vector<int> DecisionTree::PredictLabels(const FeatureRows& rows) const {
   BHPO_CHECK(fitted_) << "PredictLabels before Fit";
   BHPO_CHECK(task_ == Task::kClassification);
-  std::vector<int> labels(features.rows());
-  for (size_t r = 0; r < features.rows(); ++r) {
-    const std::vector<double>& dist = Descend(features.Row(r)).value;
-    labels[r] = static_cast<int>(
-        std::max_element(dist.begin(), dist.end()) - dist.begin());
+  std::vector<int> labels(rows.n());
+  for (size_t r = 0; r < rows.n(); ++r) {
+    const std::vector<double>& dist = Leaf(rows.row(r));
+    labels[r] = ArgMax(dist.data(), dist.size());
   }
   return labels;
 }
 
-Matrix DecisionTree::PredictProba(const Matrix& features) const {
+Matrix DecisionTree::PredictProba(const FeatureRows& rows) const {
   BHPO_CHECK(fitted_) << "PredictProba before Fit";
   BHPO_CHECK(task_ == Task::kClassification);
-  Matrix proba(features.rows(), num_classes_);
-  for (size_t r = 0; r < features.rows(); ++r) {
-    const std::vector<double>& dist = Descend(features.Row(r)).value;
+  Matrix proba(rows.n(), num_classes_);
+  for (size_t r = 0; r < rows.n(); ++r) {
+    const std::vector<double>& dist = Leaf(rows.row(r));
     for (int c = 0; c < num_classes_; ++c) proba(r, c) = dist[c];
   }
   return proba;
 }
 
-std::vector<double> DecisionTree::PredictValues(const Matrix& features) const {
+std::vector<double> DecisionTree::PredictValues(const FeatureRows& rows) const {
   BHPO_CHECK(fitted_) << "PredictValues before Fit";
   BHPO_CHECK(task_ == Task::kRegression);
-  std::vector<double> values(features.rows());
-  for (size_t r = 0; r < features.rows(); ++r) {
-    values[r] = Descend(features.Row(r)).value[0];
-  }
-  return values;
-}
-
-std::vector<int> DecisionTree::PredictLabels(const DatasetView& view) const {
-  BHPO_CHECK(fitted_) << "PredictLabels before Fit";
-  BHPO_CHECK(task_ == Task::kClassification);
-  std::vector<int> labels(view.n());
-  for (size_t r = 0; r < view.n(); ++r) {
-    const std::vector<double>& dist = Descend(view.row(r)).value;
-    labels[r] = static_cast<int>(
-        std::max_element(dist.begin(), dist.end()) - dist.begin());
-  }
-  return labels;
-}
-
-Matrix DecisionTree::PredictProba(const DatasetView& view) const {
-  BHPO_CHECK(fitted_) << "PredictProba before Fit";
-  BHPO_CHECK(task_ == Task::kClassification);
-  Matrix proba(view.n(), num_classes_);
-  for (size_t r = 0; r < view.n(); ++r) {
-    const std::vector<double>& dist = Descend(view.row(r)).value;
-    for (int c = 0; c < num_classes_; ++c) proba(r, c) = dist[c];
-  }
-  return proba;
-}
-
-std::vector<double> DecisionTree::PredictValues(const DatasetView& view) const {
-  BHPO_CHECK(fitted_) << "PredictValues before Fit";
-  BHPO_CHECK(task_ == Task::kRegression);
-  std::vector<double> values(view.n());
-  for (size_t r = 0; r < view.n(); ++r) {
-    values[r] = Descend(view.row(r)).value[0];
-  }
+  std::vector<double> values(rows.n());
+  for (size_t r = 0; r < rows.n(); ++r) values[r] = Leaf(rows.row(r))[0];
   return values;
 }
 

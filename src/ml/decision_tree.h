@@ -71,8 +71,6 @@ class DecisionTree : public Model {
       : config_(std::move(config)) {}
 
   using Model::Fit;
-  using Model::PredictLabels;
-  using Model::PredictValues;
 
   // Standalone fit: builds the view's SortedColumns and trains on all of
   // its rows.
@@ -85,16 +83,19 @@ class DecisionTree : public Model {
   Status FitRows(const DatasetView& train, const SortedColumns& index,
                  const std::vector<uint32_t>& ids, const TreeTargets& targets,
                  TreeWorkspace* workspace);
-  std::vector<int> PredictLabels(const Matrix& features) const override;
-  std::vector<double> PredictValues(const Matrix& features) const override;
 
-  // Row-wise view predictions: descend on rows in place, zero gathering.
-  std::vector<int> PredictLabels(const DatasetView& view) const override;
-  std::vector<double> PredictValues(const DatasetView& view) const override;
-
+  // Predictions descend on each row in place, zero gathering.
+  std::vector<int> PredictLabels(const FeatureRows& rows) const override;
+  std::vector<double> PredictValues(const FeatureRows& rows) const override;
   // Classification: per-class probability rows (leaf class frequencies).
-  Matrix PredictProba(const Matrix& features) const;
-  Matrix PredictProba(const DatasetView& view) const;
+  Matrix PredictProba(const FeatureRows& rows) const;
+
+  // Payload of the leaf `row` descends to: class frequencies
+  // (classification) or {mean} (regression). Ensembles add it straight into
+  // their outputs.
+  const std::vector<double>& Leaf(const double* row) const {
+    return Descend(row).value;
+  }
 
   bool fitted() const { return fitted_; }
   Task task() const { return task_; }

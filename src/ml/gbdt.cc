@@ -154,95 +154,40 @@ Status GbdtModel::Fit(const DatasetView& train) {
   return Status::OK();
 }
 
-Matrix GbdtModel::RawScores(const Matrix& features) const {
+Matrix GbdtModel::RawScores(const FeatureRows& rows) const {
   size_t outputs = base_score_.size();
-  Matrix scores(features.rows(), outputs);
-  for (size_t i = 0; i < features.rows(); ++i) {
+  Matrix scores(rows.n(), outputs);
+  for (size_t i = 0; i < rows.n(); ++i) {
     for (size_t k = 0; k < outputs; ++k) scores(i, k) = base_score_[k];
   }
   for (const auto& stage : stages_) {
     for (size_t k = 0; k < stage.size(); ++k) {
-      std::vector<double> update = stage[k]->PredictValues(features);
-      for (size_t i = 0; i < features.rows(); ++i) {
-        scores(i, k) += config_.learning_rate * update[i];
+      for (size_t i = 0; i < rows.n(); ++i) {
+        scores(i, k) += config_.learning_rate * stage[k]->Leaf(rows.row(i))[0];
       }
     }
   }
   return scores;
 }
 
-Matrix GbdtModel::PredictProba(const Matrix& features) const {
+Matrix GbdtModel::PredictProba(const FeatureRows& rows) const {
   BHPO_CHECK(fitted_) << "PredictProba before Fit";
   BHPO_CHECK(task_ == Task::kClassification);
-  Matrix proba = RawScores(features);
+  Matrix proba = RawScores(rows);
   SoftmaxRows(&proba);
   return proba;
 }
 
-std::vector<int> GbdtModel::PredictLabels(const Matrix& features) const {
+std::vector<int> GbdtModel::PredictLabels(const FeatureRows& rows) const {
   BHPO_CHECK(fitted_) << "PredictLabels before Fit";
   BHPO_CHECK(task_ == Task::kClassification);
-  Matrix scores = RawScores(features);
-  std::vector<int> labels(scores.rows());
-  for (size_t r = 0; r < scores.rows(); ++r) {
-    const double* p = scores.Row(r);
-    labels[r] =
-        static_cast<int>(std::max_element(p, p + scores.cols()) - p);
-  }
-  return labels;
+  return RowArgMax(RawScores(rows));
 }
 
-std::vector<double> GbdtModel::PredictValues(const Matrix& features) const {
+std::vector<double> GbdtModel::PredictValues(const FeatureRows& rows) const {
   BHPO_CHECK(fitted_) << "PredictValues before Fit";
   BHPO_CHECK(task_ == Task::kRegression);
-  Matrix scores = RawScores(features);
-  std::vector<double> values(scores.rows());
-  for (size_t r = 0; r < scores.rows(); ++r) values[r] = scores(r, 0);
-  return values;
-}
-
-Matrix GbdtModel::RawScores(const DatasetView& view) const {
-  size_t outputs = base_score_.size();
-  Matrix scores(view.n(), outputs);
-  for (size_t i = 0; i < view.n(); ++i) {
-    for (size_t k = 0; k < outputs; ++k) scores(i, k) = base_score_[k];
-  }
-  for (const auto& stage : stages_) {
-    for (size_t k = 0; k < stage.size(); ++k) {
-      std::vector<double> update = stage[k]->PredictValues(view);
-      for (size_t i = 0; i < view.n(); ++i) {
-        scores(i, k) += config_.learning_rate * update[i];
-      }
-    }
-  }
-  return scores;
-}
-
-Matrix GbdtModel::PredictProba(const DatasetView& view) const {
-  BHPO_CHECK(fitted_) << "PredictProba before Fit";
-  BHPO_CHECK(task_ == Task::kClassification);
-  Matrix proba = RawScores(view);
-  SoftmaxRows(&proba);
-  return proba;
-}
-
-std::vector<int> GbdtModel::PredictLabels(const DatasetView& view) const {
-  BHPO_CHECK(fitted_) << "PredictLabels before Fit";
-  BHPO_CHECK(task_ == Task::kClassification);
-  Matrix scores = RawScores(view);
-  std::vector<int> labels(scores.rows());
-  for (size_t r = 0; r < scores.rows(); ++r) {
-    const double* p = scores.Row(r);
-    labels[r] =
-        static_cast<int>(std::max_element(p, p + scores.cols()) - p);
-  }
-  return labels;
-}
-
-std::vector<double> GbdtModel::PredictValues(const DatasetView& view) const {
-  BHPO_CHECK(fitted_) << "PredictValues before Fit";
-  BHPO_CHECK(task_ == Task::kRegression);
-  Matrix scores = RawScores(view);
+  Matrix scores = RawScores(rows);
   std::vector<double> values(scores.rows());
   for (size_t r = 0; r < scores.rows(); ++r) values[r] = scores(r, 0);
   return values;

@@ -34,21 +34,16 @@ class GbdtModel : public Model {
   explicit GbdtModel(GbdtConfig config = {}) : config_(std::move(config)) {}
 
   using Model::Fit;
-  using Model::PredictLabels;
-  using Model::PredictValues;
 
   // Builds one SortedColumns index over `train`; every residual tree trains
   // on it through a list of (possibly subsampled) fit-local row ids with
   // the residuals indexed by id. Per-round score updates walk the view
   // row-wise without copying.
   Status Fit(const DatasetView& train) override;
-  std::vector<int> PredictLabels(const Matrix& features) const override;
-  std::vector<double> PredictValues(const Matrix& features) const override;
-  std::vector<int> PredictLabels(const DatasetView& view) const override;
-  std::vector<double> PredictValues(const DatasetView& view) const override;
+  std::vector<int> PredictLabels(const FeatureRows& rows) const override;
+  std::vector<double> PredictValues(const FeatureRows& rows) const override;
   // Classification: softmax probabilities of the boosted scores.
-  Matrix PredictProba(const Matrix& features) const;
-  Matrix PredictProba(const DatasetView& view) const;
+  Matrix PredictProba(const FeatureRows& rows) const;
 
   bool fitted() const { return fitted_; }
   int rounds_fit() const { return static_cast<int>(stages_.size()); }
@@ -60,9 +55,9 @@ class GbdtModel : public Model {
   friend Result<std::unique_ptr<GbdtModel>> LoadGbdt(std::istream& in);
 
   // Raw additive scores F(x): (n x num_classes) for classification,
-  // (n x 1) for regression.
-  Matrix RawScores(const Matrix& features) const;
-  Matrix RawScores(const DatasetView& view) const;
+  // (n x 1) for regression. Each stage's leaf values are added straight
+  // into the scores, stage by stage.
+  Matrix RawScores(const FeatureRows& rows) const;
 
   GbdtConfig config_;
   Task task_ = Task::kClassification;

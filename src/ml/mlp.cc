@@ -373,17 +373,15 @@ void MlpModel::UnpackParameters(const std::vector<double>& flat) {
   }
 }
 
-Status MlpModel::FitLbfgs(const DatasetView& train) {
+Status MlpModel::FitLbfgs(const DatasetView& view) {
   // L-BFGS is a full-batch solver: every objective evaluation reads the
   // whole training set, so a subset view is materialized once up front
   // instead of gathering per evaluation. The identity view trains straight
   // off the parent.
-  if (train.is_full()) return FitLbfgs(train.parent());
-  Dataset materialized = train.Materialize();
-  return FitLbfgs(materialized);
-}
+  Dataset materialized;
+  if (!view.is_full()) materialized = view.Materialize();
+  const Dataset& train = view.is_full() ? view.parent() : materialized;
 
-Status MlpModel::FitLbfgs(const Dataset& train) {
   std::vector<double> x;
   PackParameters(&x);
 
@@ -424,33 +422,27 @@ Status MlpModel::FitLbfgs(const Dataset& train) {
   return Status::OK();
 }
 
-std::vector<int> MlpModel::PredictLabels(const Matrix& features) const {
-  BHPO_CHECK(fitted_) << "PredictLabels before Fit";
-  BHPO_CHECK(task_ == Task::kClassification);
-  Matrix proba = PredictProba(features);
-  std::vector<int> labels(proba.rows());
-  for (size_t r = 0; r < proba.rows(); ++r) {
-    const double* p = proba.Row(r);
-    labels[r] = static_cast<int>(
-        std::max_element(p, p + proba.cols()) - p);
-  }
-  return labels;
+std::vector<int> MlpModel::PredictLabels(const FeatureRows& rows) const {
+  return RowArgMax(PredictProba(rows));
 }
 
-Matrix MlpModel::PredictProba(const Matrix& features) const {
-  BHPO_CHECK(fitted_) << "PredictProba before Fit";
-  BHPO_CHECK(task_ == Task::kClassification);
+Matrix MlpModel::Output(const FeatureRows& rows) const {
+  Matrix gathered;
   std::vector<Matrix> outs;
-  Forward(features, &outs);
+  Forward(rows.Dense(&gathered), &outs);
   return std::move(outs.back());
 }
 
-std::vector<double> MlpModel::PredictValues(const Matrix& features) const {
+Matrix MlpModel::PredictProba(const FeatureRows& rows) const {
+  BHPO_CHECK(fitted_) << "PredictProba before Fit";
+  BHPO_CHECK(task_ == Task::kClassification);
+  return Output(rows);
+}
+
+std::vector<double> MlpModel::PredictValues(const FeatureRows& rows) const {
   BHPO_CHECK(fitted_) << "PredictValues before Fit";
   BHPO_CHECK(task_ == Task::kRegression);
-  std::vector<Matrix> outs;
-  Forward(features, &outs);
-  const Matrix& out = outs.back();
+  Matrix out = Output(rows);
   std::vector<double> values(out.rows());
   for (size_t r = 0; r < out.rows(); ++r) values[r] = out(r, 0);
   return values;

@@ -67,17 +67,17 @@ class MlpModel : public Model {
   int iterations_run() const { return iterations_run_; }
 
   using Model::Fit;
-  using Model::PredictLabels;
-  using Model::PredictValues;
 
   // Minibatch solvers (sgd/adam) gather only the current batch's rows from
   // the view; L-BFGS materializes the view once (full-batch solver).
   Status Fit(const DatasetView& train) override;
-  std::vector<int> PredictLabels(const Matrix& features) const override;
-  std::vector<double> PredictValues(const Matrix& features) const override;
+  // Predictions run the network on the rows as one dense matrix: a subset
+  // view's rows are gathered once, a matrix or full view is used as is.
+  std::vector<int> PredictLabels(const FeatureRows& rows) const override;
+  std::vector<double> PredictValues(const FeatureRows& rows) const override;
 
   // Classification only: row-wise class probabilities.
-  Matrix PredictProba(const Matrix& features) const;
+  Matrix PredictProba(const FeatureRows& rows) const;
 
   // Regularized loss + gradients over `data` at the current parameters
   // (the L2 term is scaled by 1/data.n(), scikit-learn's per-batch
@@ -111,6 +111,8 @@ class MlpModel : public Model {
   // (classification) or predictions (regression). The input itself is
   // never copied.
   void Forward(const Matrix& input, std::vector<Matrix>* layer_outputs) const;
+  // The network's output on `rows`: probabilities or predictions.
+  Matrix Output(const FeatureRows& rows) const;
 
   // Shared loss/gradient core; exactly one of labels/targets is non-null,
   // matching the task the model was initialized for. Gradients land in
@@ -121,7 +123,6 @@ class MlpModel : public Model {
 
   Status FitSgdFamily(const DatasetView& train);
   Status FitLbfgs(const DatasetView& train);
-  Status FitLbfgs(const Dataset& train);
 
   size_t ParameterCount() const;
   void PackParameters(std::vector<double>* flat) const;

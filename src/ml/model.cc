@@ -1,18 +1,22 @@
 #include "ml/model.h"
 
+#include <algorithm>
+
 #include "metrics/classification.h"
 #include "metrics/regression.h"
 
 namespace bhpo {
 
-std::vector<int> Model::PredictLabels(const DatasetView& view) const {
-  if (view.is_full()) return PredictLabels(view.parent().features());
-  return PredictLabels(view.GatherFeatures());
+int ArgMax(const double* p, size_t k) {
+  return static_cast<int>(std::max_element(p, p + k) - p);
 }
 
-std::vector<double> Model::PredictValues(const DatasetView& view) const {
-  if (view.is_full()) return PredictValues(view.parent().features());
-  return PredictValues(view.GatherFeatures());
+std::vector<int> RowArgMax(const Matrix& scores) {
+  std::vector<int> labels(scores.rows());
+  for (size_t r = 0; r < scores.rows(); ++r) {
+    labels[r] = ArgMax(scores.Row(r), scores.cols());
+  }
+  return labels;
 }
 
 const char* EvalMetricToString(EvalMetric metric) {

@@ -14,12 +14,13 @@ namespace bhpo {
 // through. Implementations must be fit before prediction; calling the
 // prediction method of the wrong task is a programming error (CHECK).
 //
-// The virtual surface works on DatasetView so the cross-validation hot path
-// never copies feature rows; the Dataset overloads below wrap their argument
-// in an identity view, keeping existing call sites source compatible.
-// Concrete models hide base overloads when they override one name, so every
-// implementation pulls them back in with `using Model::Fit;` (and likewise
-// for the predict methods it overrides).
+// Training takes a DatasetView so the cross-validation hot path never
+// copies feature rows; the Dataset overload wraps its argument in an
+// identity view, and a concrete model pulls it back in with
+// `using Model::Fit;`. Prediction takes FeatureRows, which a dense Matrix
+// and a DatasetView both convert to, so each model writes every prediction
+// body once: it walks rows in place (trees, ensembles) or asks for one
+// dense matrix (the MLP's matrix products).
 class Model {
  public:
   virtual ~Model() = default;
@@ -28,16 +29,16 @@ class Model {
   Status Fit(const Dataset& train) { return Fit(DatasetView(train)); }
 
   // Classification: hard labels for each feature row.
-  virtual std::vector<int> PredictLabels(const Matrix& features) const = 0;
+  virtual std::vector<int> PredictLabels(const FeatureRows& rows) const = 0;
   // Regression: real-valued predictions for each feature row.
-  virtual std::vector<double> PredictValues(const Matrix& features) const = 0;
-
-  // View-based predictions. The defaults gather the view's rows into a
-  // dense matrix first; models that can walk rows in place (trees,
-  // ensembles) override these to skip the copy.
-  virtual std::vector<int> PredictLabels(const DatasetView& view) const;
-  virtual std::vector<double> PredictValues(const DatasetView& view) const;
+  virtual std::vector<double> PredictValues(const FeatureRows& rows) const = 0;
 };
+
+// Index of the first largest of p[0..k): the class a row of scores or
+// probabilities picks (std::max_element's tie rule).
+int ArgMax(const double* p, size_t k);
+// ArgMax of every row of `scores`.
+std::vector<int> RowArgMax(const Matrix& scores);
 
 // Which score a dataset is judged by. The paper reports accuracy for the
 // balanced classification datasets, (binary) F1 for the imbalanced ones and

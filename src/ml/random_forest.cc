@@ -56,42 +56,39 @@ Status RandomForest::Fit(const DatasetView& train) {
   return Status::OK();
 }
 
-Matrix RandomForest::PredictProba(const Matrix& features) const {
+Matrix RandomForest::PredictProba(const FeatureRows& rows) const {
   BHPO_CHECK(fitted_) << "PredictProba before Fit";
   BHPO_CHECK(task_ == Task::kClassification);
-  Matrix total(features.rows(), num_classes_);
+  Matrix total(rows.n(), num_classes_);
   for (const auto& tree : trees_) {
-    total.Add(tree->PredictProba(features));
+    for (size_t r = 0; r < rows.n(); ++r) {
+      const std::vector<double>& dist = tree->Leaf(rows.row(r));
+      double* out = total.Row(r);
+      for (int c = 0; c < num_classes_; ++c) out[c] += dist[c];
+    }
   }
   total.Scale(1.0 / static_cast<double>(trees_.size()));
   return total;
 }
 
-std::vector<int> RandomForest::PredictLabels(const Matrix& features) const {
-  Matrix proba = PredictProba(features);
-  std::vector<int> labels(proba.rows());
-  for (size_t r = 0; r < proba.rows(); ++r) {
-    const double* p = proba.Row(r);
-    labels[r] = static_cast<int>(
-        std::max_element(p, p + proba.cols()) - p);
-  }
-  return labels;
+std::vector<int> RandomForest::PredictLabels(const FeatureRows& rows) const {
+  return RowArgMax(PredictProba(rows));
 }
 
-void RandomForest::PredictValuesWithStd(const Matrix& features,
+void RandomForest::PredictValuesWithStd(const FeatureRows& rows,
                                         std::vector<double>* mean,
                                         std::vector<double>* stddev) const {
   BHPO_CHECK(fitted_) << "PredictValuesWithStd before Fit";
   BHPO_CHECK(task_ == Task::kRegression);
   BHPO_CHECK(mean != nullptr && stddev != nullptr);
-  size_t n = features.rows();
+  size_t n = rows.n();
   mean->assign(n, 0.0);
   std::vector<double> sum_sq(n, 0.0);
   for (const auto& tree : trees_) {
-    std::vector<double> values = tree->PredictValues(features);
     for (size_t i = 0; i < n; ++i) {
-      (*mean)[i] += values[i];
-      sum_sq[i] += values[i] * values[i];
+      double value = tree->Leaf(rows.row(i))[0];
+      (*mean)[i] += value;
+      sum_sq[i] += value * value;
     }
   }
   double t = static_cast<double>(trees_.size());
@@ -103,47 +100,14 @@ void RandomForest::PredictValuesWithStd(const Matrix& features,
   }
 }
 
-std::vector<double> RandomForest::PredictValues(const Matrix& features) const {
+std::vector<double> RandomForest::PredictValues(const FeatureRows& rows) const {
   BHPO_CHECK(fitted_) << "PredictValues before Fit";
   BHPO_CHECK(task_ == Task::kRegression);
-  std::vector<double> total(features.rows(), 0.0);
+  std::vector<double> total(rows.n(), 0.0);
   for (const auto& tree : trees_) {
-    std::vector<double> values = tree->PredictValues(features);
-    for (size_t i = 0; i < total.size(); ++i) total[i] += values[i];
-  }
-  for (double& v : total) v /= static_cast<double>(trees_.size());
-  return total;
-}
-
-Matrix RandomForest::PredictProba(const DatasetView& view) const {
-  BHPO_CHECK(fitted_) << "PredictProba before Fit";
-  BHPO_CHECK(task_ == Task::kClassification);
-  Matrix total(view.n(), num_classes_);
-  for (const auto& tree : trees_) {
-    total.Add(tree->PredictProba(view));
-  }
-  total.Scale(1.0 / static_cast<double>(trees_.size()));
-  return total;
-}
-
-std::vector<int> RandomForest::PredictLabels(const DatasetView& view) const {
-  Matrix proba = PredictProba(view);
-  std::vector<int> labels(proba.rows());
-  for (size_t r = 0; r < proba.rows(); ++r) {
-    const double* p = proba.Row(r);
-    labels[r] = static_cast<int>(
-        std::max_element(p, p + proba.cols()) - p);
-  }
-  return labels;
-}
-
-std::vector<double> RandomForest::PredictValues(const DatasetView& view) const {
-  BHPO_CHECK(fitted_) << "PredictValues before Fit";
-  BHPO_CHECK(task_ == Task::kRegression);
-  std::vector<double> total(view.n(), 0.0);
-  for (const auto& tree : trees_) {
-    std::vector<double> values = tree->PredictValues(view);
-    for (size_t i = 0; i < total.size(); ++i) total[i] += values[i];
+    for (size_t i = 0; i < total.size(); ++i) {
+      total[i] += tree->Leaf(rows.row(i))[0];
+    }
   }
   for (double& v : total) v /= static_cast<double>(trees_.size());
   return total;

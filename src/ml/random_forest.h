@@ -31,22 +31,19 @@ class RandomForest : public Model {
       : config_(std::move(config)) {}
 
   using Model::Fit;
-  using Model::PredictLabels;
-  using Model::PredictValues;
 
   // Builds one SortedColumns index over `train` and grows every tree on it;
   // a tree's bootstrap bag is a list of fit-local row ids.
   Status Fit(const DatasetView& train) override;
-  std::vector<int> PredictLabels(const Matrix& features) const override;
-  std::vector<double> PredictValues(const Matrix& features) const override;
-  std::vector<int> PredictLabels(const DatasetView& view) const override;
-  std::vector<double> PredictValues(const DatasetView& view) const override;
-  Matrix PredictProba(const Matrix& features) const;
-  Matrix PredictProba(const DatasetView& view) const;
+  // Predictions add each tree's leaf payloads straight into the output, tree
+  // by tree, then divide by the tree count.
+  std::vector<int> PredictLabels(const FeatureRows& rows) const override;
+  std::vector<double> PredictValues(const FeatureRows& rows) const override;
+  Matrix PredictProba(const FeatureRows& rows) const;
 
   // Regression only: per-row ensemble mean and the stddev across trees —
   // the epistemic-uncertainty estimate SMAC-style surrogates need.
-  void PredictValuesWithStd(const Matrix& features, std::vector<double>* mean,
+  void PredictValuesWithStd(const FeatureRows& rows, std::vector<double>* mean,
                             std::vector<double>* stddev) const;
 
   size_t num_trees() const { return trees_.size(); }

@@ -21,8 +21,6 @@ namespace {
 class MajorityModel : public Model {
  public:
   using Model::Fit;
-  using Model::PredictLabels;
-  using Model::PredictValues;
 
   Status Fit(const DatasetView& train) override {
     if (!train.valid() || train.n() == 0) {
@@ -33,10 +31,10 @@ class MajorityModel : public Model {
         std::max_element(counts.begin(), counts.end()) - counts.begin());
     return Status::OK();
   }
-  std::vector<int> PredictLabels(const Matrix& x) const override {
-    return std::vector<int>(x.rows(), majority_);
+  std::vector<int> PredictLabels(const FeatureRows& rows) const override {
+    return std::vector<int>(rows.n(), majority_);
   }
-  std::vector<double> PredictValues(const Matrix&) const override {
+  std::vector<double> PredictValues(const FeatureRows&) const override {
     BHPO_CHECK(false) << "classification stub";
     return {};
   }
@@ -49,14 +47,14 @@ class MajorityModel : public Model {
 class BrokenModel : public Model {
  public:
   using Model::Fit;
-  using Model::PredictLabels;
-  using Model::PredictValues;
 
   Status Fit(const DatasetView&) override {
     return Status::Internal("synthetic divergence");
   }
-  std::vector<int> PredictLabels(const Matrix&) const override { return {}; }
-  std::vector<double> PredictValues(const Matrix&) const override {
+  std::vector<int> PredictLabels(const FeatureRows&) const override {
+    return {};
+  }
+  std::vector<double> PredictValues(const FeatureRows&) const override {
     return {};
   }
 };
