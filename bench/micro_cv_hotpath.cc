@@ -34,8 +34,6 @@ namespace {
 // predict assigns the closest centroid (squared Euclidean).
 class CentroidModel : public Model {
  public:
-  using Model::Fit;
-
   Status Fit(const DatasetView& train) override {
     if (!train.valid() || train.n() == 0) {
       return Status::InvalidArgument("empty training view");

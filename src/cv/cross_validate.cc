@@ -288,15 +288,4 @@ Result<CvOutcome> CrossValidate(const DatasetView& data, const FoldSet& folds,
   return outcome;
 }
 
-Result<CvOutcome> CrossValidate(const Dataset& data, const FoldSet& folds,
-                                const ModelFactory& factory,
-                                EvalMetric metric) {
-  if (!factory) return Status::InvalidArgument("null model factory");
-  CvOptions options;
-  options.metric = metric;
-  return CrossValidate(
-      DatasetView(data), folds,
-      [&factory](size_t) { return factory(); }, options);
-}
-
 }  // namespace bhpo

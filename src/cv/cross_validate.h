@@ -11,7 +11,6 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "cv/folds.h"
-#include "data/dataset.h"
 #include "data/dataset_view.h"
 #include "ml/model.h"
 
@@ -68,8 +67,6 @@ struct CvOutcome {
   size_t injected_faults = 0;
 };
 
-// Creates a fresh untrained model for one CV round.
-using ModelFactory = std::function<std::unique_ptr<Model>()>;
 // Creates the model for fold f. Receiving the fold index lets callers give
 // every fold a deterministic seed (MixSeed) that is independent of the
 // order folds actually execute in — a requirement for reproducible results
@@ -140,11 +137,6 @@ struct CvOptions {
 Result<CvOutcome> CrossValidate(const DatasetView& data, const FoldSet& folds,
                                 const FoldModelFactory& factory,
                                 const CvOptions& options = {});
-
-// Compatibility overload: dataset + fold-agnostic factory, serial.
-Result<CvOutcome> CrossValidate(const Dataset& data, const FoldSet& folds,
-                                const ModelFactory& factory,
-                                EvalMetric metric = EvalMetric::kAuto);
 
 // Convenience: mean/population-stddev of a score vector.
 void MeanStddev(const std::vector<double>& values, double* mean,

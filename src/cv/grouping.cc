@@ -28,7 +28,7 @@ std::vector<int> EffectiveLabels(const Dataset& data,
 
   // Classification: merge classes smaller than rare_class_ratio * n / u
   // into one rare pseudo-class.
-  std::vector<size_t> counts = data.ClassCounts();
+  std::vector<size_t> counts = DatasetView(data).ClassCounts();
   int u = data.num_classes();
   double threshold = options.rare_class_ratio * static_cast<double>(data.n()) /
                      static_cast<double>(u);

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <sstream>
 
+#include "data/dataset_view.h"
+
 namespace bhpo {
 
 Result<Dataset> Dataset::Classification(Matrix features,
@@ -89,22 +91,6 @@ Dataset Dataset::Subset(const std::vector<size_t>& indices) const {
   return d;
 }
 
-std::vector<size_t> Dataset::ClassCounts() const {
-  BHPO_CHECK(is_classification());
-  std::vector<size_t> counts(num_classes_, 0);
-  for (int y : labels_) ++counts[y];
-  return counts;
-}
-
-std::vector<std::vector<size_t>> Dataset::IndicesByClass() const {
-  BHPO_CHECK(is_classification());
-  std::vector<std::vector<size_t>> by_class(num_classes_);
-  for (size_t i = 0; i < labels_.size(); ++i) {
-    by_class[labels_[i]].push_back(i);
-  }
-  return by_class;
-}
-
 Matrix Dataset::Standardizer::Apply(const Matrix& features) const {
   BHPO_CHECK_EQ(features.cols(), mean.size());
   Matrix out = features;
@@ -156,7 +142,7 @@ std::string Dataset::Summary() const {
      << n() << " instances, " << num_features() << " features";
   if (is_classification()) {
     os << ", " << num_classes_ << " classes [";
-    std::vector<size_t> counts = ClassCounts();
+    std::vector<size_t> counts = DatasetView(*this).ClassCounts();
     for (size_t c = 0; c < counts.size(); ++c) {
       if (c > 0) os << ", ";
       os << counts[c];

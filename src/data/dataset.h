@@ -48,12 +48,6 @@ class Dataset {
   // Gathers rows `indices` into a new dataset of the same task type.
   Dataset Subset(const std::vector<size_t>& indices) const;
 
-  // Number of instances per class (classification only).
-  std::vector<size_t> ClassCounts() const;
-
-  // Indices of all instances of each class (classification only).
-  std::vector<std::vector<size_t>> IndicesByClass() const;
-
   // Z-score standardization statistics computed over this dataset. Columns
   // with zero variance get stddev 1 so they map to 0.
   struct Standardizer {

@@ -38,9 +38,9 @@ DatasetView DatasetView::ViewOf(std::vector<size_t>&& indices) const {
 
 std::vector<size_t> DatasetView::ClassCounts() const {
   BHPO_CHECK(is_classification());
-  if (!has_indices_) return parent().ClassCounts();
   std::vector<size_t> counts(num_classes(), 0);
-  for (size_t idx : indices_) ++counts[parent().label(idx)];
+  size_t m = n();
+  for (size_t i = 0; i < m; ++i) ++counts[label(i)];
   return counts;
 }
 

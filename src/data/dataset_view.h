@@ -9,11 +9,13 @@
 
 namespace bhpo {
 
-// Non-owning row view over a parent Dataset. This is the unit of currency on
-// the evaluation hot path: cross-validation hands models the training and
-// validation sides of each fold as views, so no feature row is ever gathered
-// into a fresh matrix just to be read once (the old per-fold
-// Dataset::Subset cost O(n*d) per fold per configuration evaluation).
+// Non-owning row view over a parent Dataset: the one input type of every
+// training and scoring entry point (Model::Fit, EvaluateModel,
+// CrossValidate, SampleStratified). A Dataset converts to its identity view
+// implicitly, so callers holding a whole dataset pass it as is, while
+// cross-validation hands models the training and validation sides of each
+// fold as subset views, so no feature row is ever gathered into a fresh
+// matrix just to be read once.
 //
 // A view is either *full* (the identity view over the parent, no index
 // table) or a subset defined by an owned index vector; either way it only
@@ -24,10 +26,9 @@ class DatasetView {
  public:
   DatasetView() = default;
 
-  // Identity view over the whole parent (no index table). Explicit so the
-  // Dataset-taking and view-taking overloads of CrossValidate/Fit never
-  // collide during overload resolution.
-  explicit DatasetView(const Dataset& parent) : parent_(&parent) {}
+  // Identity view over the whole parent (no index table).
+  DatasetView(const Dataset& parent)  // NOLINT(runtime/explicit)
+      : parent_(&parent) {}
 
   // Subset view: row i of the view is parent row indices[i]. Indices may
   // repeat (bootstrap resampling) and must all be < parent.n().
@@ -75,9 +76,11 @@ class DatasetView {
   int label(size_t i) const { return parent().label(parent_index(i)); }
   double target(size_t i) const { return parent().target(parent_index(i)); }
 
-  // Number of instances per class (classification only).
+  // Number of instances per class (classification only); a full view counts
+  // every row of the parent.
   std::vector<size_t> ClassCounts() const;
-  // View-relative indices of all instances of each class.
+  // View-relative indices of all instances of each class (classification
+  // only).
   std::vector<std::vector<size_t>> IndicesByClass() const;
 
   // Explicit materializations for consumers that genuinely need dense

@@ -40,12 +40,9 @@ Result<TrainTestSplit> SplitTrainTest(const Dataset& dataset,
 // Uniformly samples `count` instances without replacement.
 std::vector<size_t> SampleUniform(size_t n, size_t count, Rng* rng);
 
-// Class-stratified sample of `count` indices from a classification dataset:
-// each class contributes round(count * class_share) instances (largest
-// remainder rounding so the total is exact). The view overload returns
-// view-relative indices.
-std::vector<size_t> SampleStratified(const Dataset& dataset, size_t count,
-                                     Rng* rng);
+// Class-stratified sample of `count` view-relative indices from a
+// classification dataset: each class contributes round(count * class_share)
+// instances (largest remainder rounding so the total is exact).
 std::vector<size_t> SampleStratified(const DatasetView& view, size_t count,
                                      Rng* rng);
 

@@ -2,6 +2,8 @@
 #define BHPO_HPO_MODEL_FACTORY_H_
 
 #include <cstdint>
+#include <memory>
+#include <variant>
 
 #include "common/status.h"
 #include "cv/cross_validate.h"
@@ -11,6 +13,15 @@
 #include "ml/random_forest.h"
 
 namespace bhpo {
+
+// The one path from a configuration to a model. ModelSpecFromConfiguration
+// resolves the model family and its settings once, through the
+// *ConfigFromConfiguration translators below; BuildModel then makes any
+// number of untrained models from that value, each at a seed of the
+// caller's choosing. The final model of a search is built at
+// FactoryOptions::seed (EvaluateFinalConfig, the CLI's --save-model), and
+// cross-validation builds fold f's model at MixSeed(FactoryOptions::seed, f)
+// (MakeFoldModelFactory).
 
 // Training knobs that are fixed per experiment rather than searched over.
 struct FactoryOptions {
@@ -30,12 +41,6 @@ Result<MlpConfig> MlpConfigFromConfiguration(const Configuration& config,
 // Parses "(30,30)"-style tuples (parentheses optional).
 Result<std::vector<size_t>> ParseHiddenLayers(const std::string& text);
 
-// Wraps the translation into the CV ModelFactory callback. The
-// configuration is resolved eagerly: an invalid configuration surfaces here
-// rather than mid-search.
-Result<ModelFactory> MakeMlpFactory(const Configuration& config,
-                                    const FactoryOptions& options);
-
 // Translates a configuration into a random-forest config. Recognized
 // hyperparameters: num_trees, max_depth, min_samples_leaf, max_features
 // (all integers; absent ones keep the defaults).
@@ -48,14 +53,21 @@ Result<RandomForestConfig> RandomForestConfigFromConfiguration(
 Result<GbdtConfig> GbdtConfigFromConfiguration(const Configuration& config,
                                                const FactoryOptions& options);
 
+// A configuration resolved to one model family and its settings.
+using ModelSpec = std::variant<MlpConfig, RandomForestConfig, GbdtConfig>;
+
 // Model-family dispatch: the optional "model" hyperparameter selects
 // "mlp" (default), "random_forest" or "gbdt", so a single search space can
-// span model families (the CASH setting mentioned in Section II-A).
-Result<ModelFactory> MakeModelFactory(const Configuration& config,
-                                      const FactoryOptions& options);
+// span model families (the CASH setting mentioned in Section II-A). An
+// invalid configuration fails here, before any model is built.
+Result<ModelSpec> ModelSpecFromConfiguration(const Configuration& config,
+                                             const FactoryOptions& options);
 
-// Fold-aware variant: the configuration is resolved once, then fold f's
-// model is seeded with MixSeed(options.seed, f). Seeds depend only on
+// A fresh untrained model of the resolved family, seeded with `seed`.
+std::unique_ptr<Model> BuildModel(const ModelSpec& spec, uint64_t seed);
+
+// Cross-validation's factory: the configuration is resolved once, then
+// fold f's model is built at MixSeed(options.seed, f). Seeds depend only on
 // (options.seed, fold), never on which thread evaluates the fold, so
 // fold-parallel CV reproduces the serial result exactly.
 Result<FoldModelFactory> MakeFoldModelFactory(const Configuration& config,

@@ -135,9 +135,9 @@ Result<FinalEvaluation> EvaluateFinalConfig(const Configuration& config,
                                             const Dataset& test,
                                             EvalMetric metric,
                                             const FactoryOptions& options) {
-  BHPO_ASSIGN_OR_RETURN(ModelFactory factory,
-                        MakeModelFactory(config, options));
-  std::unique_ptr<Model> model = factory();
+  BHPO_ASSIGN_OR_RETURN(ModelSpec spec,
+                        ModelSpecFromConfiguration(config, options));
+  std::unique_ptr<Model> model = BuildModel(spec, options.seed);
   BHPO_RETURN_NOT_OK(model->Fit(train));
   FinalEvaluation out;
   out.train_metric = EvaluateModel(*model, train, metric);

@@ -70,7 +70,8 @@ class HpoOptimizer {
 };
 
 // Trains the chosen configuration on the full training set and scores it on
-// train and test — the paper's "trainAcc./testAcc." rows.
+// train and test — the paper's "trainAcc./testAcc." rows. The model is
+// built at options.seed.
 struct FinalEvaluation {
   double train_metric = 0.0;
   double test_metric = 0.0;

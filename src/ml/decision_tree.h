@@ -70,8 +70,6 @@ class DecisionTree : public Model {
   explicit DecisionTree(DecisionTreeConfig config = {})
       : config_(std::move(config)) {}
 
-  using Model::Fit;
-
   // Standalone fit: builds the view's SortedColumns and trains on all of
   // its rows.
   Status Fit(const DatasetView& train) override;

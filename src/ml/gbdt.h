@@ -33,8 +33,6 @@ class GbdtModel : public Model {
  public:
   explicit GbdtModel(GbdtConfig config = {}) : config_(std::move(config)) {}
 
-  using Model::Fit;
-
   // Builds one SortedColumns index over `train`; every residual tree trains
   // on it through a list of (possibly subsampled) fit-local row ids with
   // the residuals indexed by id. Per-round score updates walk the view

@@ -66,8 +66,6 @@ class MlpModel : public Model {
   // Epochs (sgd/adam) or iterations (lbfgs) actually run.
   int iterations_run() const { return iterations_run_; }
 
-  using Model::Fit;
-
   // Minibatch solvers (sgd/adam) gather only the current batch's rows from
   // the view; L-BFGS materializes the view once (full-batch solver).
   Status Fit(const DatasetView& train) override;

@@ -60,9 +60,4 @@ double EvaluateModel(const Model& model, const DatasetView& test,
   return 0.0;
 }
 
-double EvaluateModel(const Model& model, const Dataset& test,
-                     EvalMetric metric) {
-  return EvaluateModel(model, DatasetView(test), metric);
-}
-
 }  // namespace bhpo

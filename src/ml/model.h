@@ -5,7 +5,6 @@
 
 #include "common/matrix.h"
 #include "common/status.h"
-#include "data/dataset.h"
 #include "data/dataset_view.h"
 
 namespace bhpo {
@@ -14,19 +13,18 @@ namespace bhpo {
 // through. Implementations must be fit before prediction; calling the
 // prediction method of the wrong task is a programming error (CHECK).
 //
-// Training takes a DatasetView so the cross-validation hot path never
-// copies feature rows; the Dataset overload wraps its argument in an
-// identity view, and a concrete model pulls it back in with
-// `using Model::Fit;`. Prediction takes FeatureRows, which a dense Matrix
-// and a DatasetView both convert to, so each model writes every prediction
-// body once: it walks rows in place (trees, ensembles) or asks for one
-// dense matrix (the MLP's matrix products).
+// One input type per direction. Training takes a DatasetView, which a whole
+// Dataset converts to, so the cross-validation hot path never copies
+// feature rows and a caller holding a dataset passes it as is. Prediction
+// takes FeatureRows, which a dense Matrix and a DatasetView both convert
+// to, so each model writes every prediction body once: it walks rows in
+// place (trees, ensembles) or asks for one dense matrix (the MLP's matrix
+// products).
 class Model {
  public:
   virtual ~Model() = default;
 
   virtual Status Fit(const DatasetView& train) = 0;
-  Status Fit(const Dataset& train) { return Fit(DatasetView(train)); }
 
   // Classification: hard labels for each feature row.
   virtual std::vector<int> PredictLabels(const FeatureRows& rows) const = 0;
@@ -51,8 +49,6 @@ const char* EvalMetricToString(EvalMetric metric);
 // Scores a fitted model on `test` with the chosen metric. Higher is always
 // better (R^2 can be negative).
 double EvaluateModel(const Model& model, const DatasetView& test,
-                     EvalMetric metric = EvalMetric::kAuto);
-double EvaluateModel(const Model& model, const Dataset& test,
                      EvalMetric metric = EvalMetric::kAuto);
 
 }  // namespace bhpo

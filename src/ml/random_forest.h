@@ -30,8 +30,6 @@ class RandomForest : public Model {
   explicit RandomForest(RandomForestConfig config = {})
       : config_(std::move(config)) {}
 
-  using Model::Fit;
-
   // Builds one SortedColumns index over `train` and grows every tree on it;
   // a tree's bootstrap bag is a list of fit-local row ids.
   Status Fit(const DatasetView& train) override;

@@ -20,8 +20,6 @@ namespace {
 // set. Lets CV tests check plumbing without MLP nondeterminism/cost.
 class MajorityModel : public Model {
  public:
-  using Model::Fit;
-
   Status Fit(const DatasetView& train) override {
     if (!train.valid() || train.n() == 0) {
       return Status::InvalidArgument("empty");
@@ -46,8 +44,6 @@ class MajorityModel : public Model {
 // A model whose Fit always fails, for the divergence path.
 class BrokenModel : public Model {
  public:
-  using Model::Fit;
-
   Status Fit(const DatasetView&) override {
     return Status::Internal("synthetic divergence");
   }
@@ -67,6 +63,12 @@ Dataset SkewedData(size_t n = 100, double positive_share = 0.3) {
   spec.class_weights = {1.0 - positive_share, positive_share};
   spec.seed = 1;
   return MakeBlobs(spec).value();
+}
+
+// A fresh M for every fold.
+template <typename M>
+FoldModelFactory EveryFold() {
+  return [](size_t) -> std::unique_ptr<Model> { return std::make_unique<M>(); };
 }
 
 FoldSet FiveFolds(const Dataset& data) {
@@ -96,7 +98,7 @@ TEST(CrossValidateTest, MajorityModelScoresItsBaseRate) {
   FoldSet folds = FiveFolds(data);
   CvOutcome outcome =
       CrossValidate(data, folds,
-                    [] { return std::make_unique<MajorityModel>(); })
+                    EveryFold<MajorityModel>())
           .value();
   ASSERT_EQ(outcome.fold_scores.size(), 5u);
   // Majority class is 70% of every stratified fold.
@@ -109,7 +111,7 @@ TEST(CrossValidateTest, FailedFoldsAreCountedNotScored) {
   FoldSet folds = FiveFolds(data);
   CvOutcome outcome =
       CrossValidate(data, folds,
-                    [] { return std::make_unique<BrokenModel>(); })
+                    EveryFold<BrokenModel>())
           .value();
   // Failures are recorded, not folded into the mean as fake scores; with
   // every fold broken the mean is the worst possible value.
@@ -141,7 +143,7 @@ TEST(CrossValidateTest, EmptyFoldsAreSkipped) {
   folds.folds.push_back({});  // A 6th, empty fold.
   CvOutcome outcome =
       CrossValidate(data, folds,
-                    [] { return std::make_unique<MajorityModel>(); })
+                    EveryFold<MajorityModel>())
           .value();
   EXPECT_EQ(outcome.fold_scores.size(), 5u);
 }
@@ -154,13 +156,13 @@ TEST(CrossValidateTest, RejectsBadInputs) {
   one.folds = {{0, 1, 2}};
   EXPECT_FALSE(
       CrossValidate(data, one,
-                    [] { return std::make_unique<MajorityModel>(); })
+                    EveryFold<MajorityModel>())
           .ok());
   FoldSet overlapping;
   overlapping.folds = {{0, 1}, {1, 2}};
   EXPECT_FALSE(
       CrossValidate(data, overlapping,
-                    [] { return std::make_unique<MajorityModel>(); })
+                    EveryFold<MajorityModel>())
           .ok());
 }
 
@@ -183,7 +185,9 @@ TEST(CrossValidateTest, WithRealMlpOnEasyData) {
   config.seed = 6;
   CvOutcome outcome =
       CrossValidate(data, folds,
-                    [&config] { return std::make_unique<MlpModel>(config); })
+                    [&config](size_t) {
+                      return std::make_unique<MlpModel>(config);
+                    })
           .value();
   EXPECT_GT(outcome.mean, 0.85);
   EXPECT_GE(outcome.stddev, 0.0);

@@ -26,8 +26,6 @@ namespace {
 // injected faults are the only source of failure.
 class MajorityModel : public Model {
  public:
-  using Model::Fit;
-
   Status Fit(const DatasetView& train) override {
     if (!train.valid() || train.n() == 0) {
       return Status::InvalidArgument("empty");

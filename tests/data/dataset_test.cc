@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "data/dataset_view.h"
+
 namespace bhpo {
 namespace {
 
@@ -66,9 +68,10 @@ TEST(DatasetTest, SubsetPreservesTaskAndClassCount) {
 
 TEST(DatasetTest, ClassCountsAndIndicesByClass) {
   Dataset d = SmallClassification();
-  std::vector<size_t> counts = d.ClassCounts();
+  DatasetView view = d;
+  std::vector<size_t> counts = view.ClassCounts();
   EXPECT_EQ(counts, (std::vector<size_t>{2, 2, 1}));
-  auto by_class = d.IndicesByClass();
+  auto by_class = view.IndicesByClass();
   EXPECT_EQ(by_class[0], (std::vector<size_t>{0, 3}));
   EXPECT_EQ(by_class[2], (std::vector<size_t>{4}));
 }

@@ -193,10 +193,10 @@ void ExpectViewFitEqualsMaterializedFit(const std::string& family,
   FactoryOptions options;
   options.max_iter = 12;
   options.seed = 9;
-  ModelFactory factory = MakeModelFactory(config, options).value();
+  ModelSpec spec = ModelSpecFromConfiguration(config, options).value();
 
-  std::unique_ptr<Model> from_view = factory();
-  std::unique_ptr<Model> from_copy = factory();
+  std::unique_ptr<Model> from_view = BuildModel(spec, options.seed);
+  std::unique_ptr<Model> from_copy = BuildModel(spec, options.seed);
   ASSERT_TRUE(from_view->Fit(view).ok()) << family;
   ASSERT_TRUE(from_copy->Fit(copy).ok()) << family;
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "data/dataset_view.h"
 #include "data/paper_datasets.h"
 
 namespace bhpo {
@@ -19,7 +20,7 @@ TEST(MakeBlobsTest, ShapeAndBalance) {
   EXPECT_EQ(d.n(), 300u);
   EXPECT_EQ(d.num_features(), 5u);
   EXPECT_EQ(d.num_classes(), 3);
-  for (size_t c : d.ClassCounts()) EXPECT_EQ(c, 100u);
+  for (size_t c : DatasetView(d).ClassCounts()) EXPECT_EQ(c, 100u);
 }
 
 TEST(MakeBlobsTest, ClassWeightsRespected) {
@@ -29,7 +30,7 @@ TEST(MakeBlobsTest, ClassWeightsRespected) {
   spec.class_weights = {0.9, 0.1};
   spec.seed = 2;
   Dataset d = MakeBlobs(spec).value();
-  std::vector<size_t> counts = d.ClassCounts();
+  std::vector<size_t> counts = DatasetView(d).ClassCounts();
   EXPECT_EQ(counts[0], 900u);
   EXPECT_EQ(counts[1], 100u);
 }
@@ -185,7 +186,7 @@ TEST(PaperDatasetsTest, GeneratedSizesMatchSpec) {
 
 TEST(PaperDatasetsTest, ImbalancedDatasetIsImbalanced) {
   TrainTestSplit split = MakePaperDataset("fraud", 42, 0.5).value();
-  std::vector<size_t> counts = split.train.ClassCounts();
+  std::vector<size_t> counts = DatasetView(split.train).ClassCounts();
   EXPECT_GT(counts[0], counts[1] * 10);
 }
 

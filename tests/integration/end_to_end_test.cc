@@ -236,9 +236,10 @@ TEST(EndToEndTest, SearchedModelSurvivesSerializationRoundTrip) {
   Rng rng(111);
   HpoResult result = sha.Optimize(env.data.train, &rng).value();
 
-  ModelFactory factory =
-      MakeModelFactory(result.best_config, env.options.factory).value();
-  std::unique_ptr<Model> model = factory();
+  ModelSpec spec =
+      ModelSpecFromConfiguration(result.best_config, env.options.factory)
+          .value();
+  std::unique_ptr<Model> model = BuildModel(spec, env.options.factory.seed);
   ASSERT_TRUE(model->Fit(env.data.train).ok());
 
   std::string path = ::testing::TempDir() + "/e2e_model.bhpo";

@@ -403,10 +403,11 @@ Status RunCli(int argc, char** argv) {
   }
 
   if (!save_path.empty()) {
-    BHPO_ASSIGN_OR_RETURN(ModelFactory final_factory,
-                          MakeModelFactory(result.best_config,
-                                           options.factory));
-    std::unique_ptr<Model> final_model = final_factory();
+    BHPO_ASSIGN_OR_RETURN(
+        ModelSpec spec,
+        ModelSpecFromConfiguration(result.best_config, options.factory));
+    std::unique_ptr<Model> final_model =
+        BuildModel(spec, options.factory.seed);
     BHPO_RETURN_NOT_OK(final_model->Fit(data.train));
     BHPO_RETURN_NOT_OK(SaveModelToFile(*final_model, save_path));
     std::printf("saved final model to %s\n", save_path.c_str());
