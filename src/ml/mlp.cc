@@ -40,21 +40,21 @@ Status MlpConfig::Validate() const {
   for (size_t h : hidden_layer_sizes) {
     if (h == 0) return Status::InvalidArgument("hidden layer of size 0");
   }
-  if (learning_rate_init <= 0.0) {
+  if (!(0.0 < learning_rate_init)) {
     return Status::InvalidArgument("learning_rate_init must be positive");
   }
-  if (alpha < 0.0) return Status::InvalidArgument("alpha must be >= 0");
+  if (!(0.0 <= alpha)) return Status::InvalidArgument("alpha must be >= 0");
   if (max_iter < 1) return Status::InvalidArgument("max_iter must be >= 1");
-  if (momentum < 0.0 || momentum >= 1.0) {
+  if (!(0.0 <= momentum && momentum < 1.0)) {
     return Status::InvalidArgument("momentum must be in [0, 1)");
   }
-  if (validation_fraction <= 0.0 || validation_fraction >= 1.0) {
+  if (!(0.0 < validation_fraction && validation_fraction < 1.0)) {
     return Status::InvalidArgument("validation_fraction must be in (0, 1)");
   }
   if (n_iter_no_change < 1) {
     return Status::InvalidArgument("n_iter_no_change must be >= 1");
   }
-  if (tol < 0.0) return Status::InvalidArgument("tol must be >= 0");
+  if (!(0.0 <= tol)) return Status::InvalidArgument("tol must be >= 0");
   return Status::OK();
 }
 

@@ -1,5 +1,6 @@
 #include "data/split.h"
 
+#include <cmath>
 #include <numeric>
 #include <set>
 
@@ -111,6 +112,7 @@ TEST(SplitTrainTestTest, RejectsBadFraction) {
   EXPECT_FALSE(SplitTrainTest(d, 0.0, &rng).ok());
   EXPECT_FALSE(SplitTrainTest(d, 1.0, &rng).ok());
   EXPECT_FALSE(SplitTrainTest(d, -0.5, &rng).ok());
+  EXPECT_FALSE(SplitTrainTest(d, std::nan(""), &rng).ok());
 }
 
 TEST(SplitTrainTestTest, RejectsNullRng) {

@@ -28,6 +28,14 @@ TEST(GbdtConfigTest, Validation) {
   c = GbdtConfig();
   c.subsample = 0.0;
   EXPECT_FALSE(c.Validate().ok());
+  // NaN compares false both ways, so a check written as `x <= lo || x > hi`
+  // would let it through.
+  c = GbdtConfig();
+  c.learning_rate = std::nan("");
+  EXPECT_FALSE(c.Validate().ok());
+  c = GbdtConfig();
+  c.subsample = std::nan("");
+  EXPECT_FALSE(c.Validate().ok());
   EXPECT_TRUE(GbdtConfig().Validate().ok());
 }
 

@@ -53,6 +53,16 @@ TEST(MlpConfigTest, ValidateCatchesBadValues) {
   c = MlpConfig();
   c.validation_fraction = 1.0;
   EXPECT_FALSE(c.Validate().ok());
+  // NaN fails every comparison; each range check must reject it.
+  const double nan = std::nan("");
+  for (double MlpConfig::*field :
+       {&MlpConfig::learning_rate_init, &MlpConfig::alpha,
+        &MlpConfig::momentum, &MlpConfig::validation_fraction,
+        &MlpConfig::tol}) {
+    c = MlpConfig();
+    c.*field = nan;
+    EXPECT_FALSE(c.Validate().ok());
+  }
   EXPECT_TRUE(MlpConfig().Validate().ok());
 }
 
