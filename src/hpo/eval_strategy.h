@@ -109,7 +109,8 @@ class EnhancedStrategy : public EvalStrategy {
  public:
   // Builds the grouping over `train` once, before optimization starts
   // (Figure 2 (a)-(d)). fold_options.k_gen + k_spe must equal
-  // options.num_folds.
+  // options.num_folds; scoring.alpha must be finite and >= 0 and
+  // scoring.beta_max finite and > 0.
   static Result<std::unique_ptr<EnhancedStrategy>> Create(
       const Dataset& train, const GroupingOptions& grouping_options,
       const GenFoldsOptions& fold_options, const ScoringOptions& scoring,

@@ -1,6 +1,8 @@
 #include "hpo/eval_strategy.h"
 
 #include <cstdint>
+#include <limits>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -101,6 +103,35 @@ TEST(EnhancedStrategyTest, CreateValidatesFoldArithmetic) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(EnhancedStrategyTest, CreateValidatesScoringOptions) {
+  Dataset data = TinyBlobs();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // {alpha, beta_max} pairs that Equation 3 cannot use.
+  for (auto [alpha, beta_max] :
+       {std::pair{-0.1, 10.0}, std::pair{nan, 10.0}, std::pair{inf, 10.0},
+        std::pair{0.1, 0.0}, std::pair{0.1, -1.0}, std::pair{0.1, nan},
+        std::pair{0.1, inf}}) {
+    ScoringOptions scoring;
+    scoring.use_variance = true;
+    scoring.alpha = alpha;
+    scoring.beta_max = beta_max;
+    EXPECT_EQ(EnhancedStrategy::Create(data, GroupingOptions(),
+                                       GenFoldsOptions(), scoring,
+                                       FastOptions())
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << alpha << " " << beta_max;
+  }
+  ScoringOptions zero_alpha;
+  zero_alpha.alpha = 0.0;
+  EXPECT_TRUE(EnhancedStrategy::Create(data, GroupingOptions(),
+                                       GenFoldsOptions(), zero_alpha,
+                                       FastOptions())
+                  .ok());
 }
 
 TEST(EnhancedStrategyTest, EvaluateUsesEquation3) {
