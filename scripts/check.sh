@@ -10,7 +10,8 @@
 #   4. ASan+UBSan       cache + thread-pool + gather/layout suites, the
 #                       tree lock digests, the optimizer suites
 #                       (SHA/Hyperband family, ASHA, PASHA, SMAC, TPE,
-#                       golden outcome lock), and the
+#                       golden outcome lock), the model-construction
+#                       lock, and the
 #                       matrix-product kernel + MLP bit-exactness suites
 #                       under both SIMD dispatch variants
 #   5. TSan             ThreadPool / fold-parallel CV / EvalCache suites,
@@ -79,9 +80,11 @@ if [[ "$run_asan" == 1 ]]; then
   ./build-asan/tests/bhpo_hpo_test \
     --gtest_filter='EvalCache*:CachingStrategy*:FoldCache*:CacheTransparency*'
   # Every optimizer on the shared evaluate-and-record path; the promotion
-  # scheduler promotes out of one per-rung vector into the next.
+  # scheduler promotes out of one per-rung vector into the next. The
+  # model-construction lock fits and scores the final and fold models of
+  # every model family.
   ./build-asan/tests/bhpo_hpo_test \
-    --gtest_filter='Sha*:Asha*:Pasha*:Hyperband*:Bohb*:Dehb*:Smac*:TpeSearch*:TpeSampler*:OptimizerGolden*'
+    --gtest_filter='Sha*:Asha*:Pasha*:Hyperband*:Bohb*:Dehb*:Smac*:TpeSearch*:TpeSampler*:OptimizerGolden*:ModelConstructionLock*'
   ./build-asan/tests/bhpo_common_test --gtest_filter='*ThreadPool*'
   # Gather kernel under ASan, both dispatch variants: the edge-width/
   # misalignment suite flips the runtime toggle itself, and the second run
