@@ -15,7 +15,8 @@
 #                       matrix-product kernel + MLP bit-exactness suites
 #                       under both SIMD dispatch variants
 #   5. TSan             ThreadPool / fold-parallel CV / EvalCache suites,
-#                       fold-parallel tree CV and the contended stress test
+#                       fold-parallel tree CV, concurrent tree-index builds
+#                       on one fresh dataset and the contended stress test
 #                       under -fsanitize=thread
 #   6. faults           (--faults) the fault-tolerance suites plus the
 #                       FaultSmoke strategies re-run under a 30% mixed-fault
@@ -93,13 +94,15 @@ if [[ "$run_asan" == 1 ]]; then
     --gtest_filter='Gather*:MatrixSelectRowsGather*'
   BHPO_SIMD=off ./build-asan/tests/bhpo_common_test \
     --gtest_filter='Gather*:MatrixSelectRowsGather*'
-  ./build-asan/tests/bhpo_data_test --gtest_filter='GatherBitExact*'
+  ./build-asan/tests/bhpo_data_test --gtest_filter='GatherBitExact*:FeatureOrder*'
   # The tree lock digests, the repeated-id walk and the node-order oracle:
-  # the walk stores 4 ids at a time into the sorted-ids slack. The tree
-  # loaders reject the malformed models that read out of bounds. The
-  # prediction-path suite walks every model over full and subset views.
+  # the walk stores 4 ids at a time into the sorted-ids slack. The index
+  # oracle and the concurrent builds walk the parent dataset's order
+  # through a per-fit row map. The tree loaders reject the malformed models
+  # that read out of bounds. The prediction-path suite walks every model
+  # over full and subset views.
   ./build-asan/tests/bhpo_ml_test \
-    --gtest_filter='TreeLayoutBitExact*:TreeBitExact*:SortedColumns*:NodeOrder*:NonFiniteFeature*:*Serialization*:PredictionPath*'
+    --gtest_filter='TreeLayoutBitExact*:TreeBitExact*:SortedColumns*:ParentOrderConcurrency*:NodeOrder*:NonFiniteFeature*:*Serialization*:PredictionPath*'
   # Matrix-product kernels and the MLP training lock, both dispatch
   # variants: the register tiles' row and column tails are exactly where an
   # out-of-bounds load or store would hide. The kernel suite also flips the

@@ -76,6 +76,12 @@ double Dataset::target(size_t i) const {
   return targets_[i];
 }
 
+const FeatureOrder& Dataset::feature_order() const {
+  BHPO_CHECK(feature_order_ != nullptr)
+      << "feature_order() on a moved-from dataset";
+  return feature_order_->Get(features_);
+}
+
 Dataset Dataset::Subset(const std::vector<size_t>& indices) const {
   Dataset d;
   d.task_ = task_;
@@ -133,6 +139,8 @@ Dataset Dataset::Standardized() const {
   Standardizer s = ComputeStandardizer();
   Dataset d = *this;
   d.features_ = s.Apply(features_);
+  // New features, so the copy must not share this dataset's order.
+  d.feature_order_ = std::make_shared<LazyFeatureOrder>();
   return d;
 }
 

@@ -1,11 +1,13 @@
 #ifndef BHPO_DATA_DATASET_H_
 #define BHPO_DATA_DATASET_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/matrix.h"
 #include "common/status.h"
+#include "data/feature_order.h"
 
 namespace bhpo {
 
@@ -45,6 +47,11 @@ class Dataset {
   int label(size_t i) const;
   double target(size_t i) const;
 
+  // Every feature column sorted once (FeatureOrder), built by the first
+  // call and shared by every copy of this dataset: features never change
+  // after construction, so a copy's order is the original's. Thread-safe.
+  const FeatureOrder& feature_order() const;
+
   // Gathers rows `indices` into a new dataset of the same task type.
   Dataset Subset(const std::vector<size_t>& indices) const;
 
@@ -70,6 +77,8 @@ class Dataset {
   std::vector<int> labels_;      // classification
   std::vector<double> targets_;  // regression
   int num_classes_;
+  std::shared_ptr<LazyFeatureOrder> feature_order_ =
+      std::make_shared<LazyFeatureOrder>();
 };
 
 }  // namespace bhpo

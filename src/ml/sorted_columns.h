@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/status.h"
@@ -24,7 +25,16 @@ namespace bhpo {
 // NodeOrder (below) reads Order and Rank to put a node's rows in feature
 // order.
 //
-// Memory: rows() * cols() * 16 bytes (8 value + 4 order + 4 rank).
+// Build: a fit large enough next to its parent dataset (FromParentOrder)
+// derives Order and Rank from the parent's FeatureOrder, which sorts the
+// whole dataset once on first use and is shared by every fit on it: one
+// pass over the parent order per feature, plus a sort by fit-local id of
+// each run of equal values whose ids do not already ascend. A smaller fit
+// sorts its own columns. Both give the same index bit for bit.
+//
+// Memory: rows() * cols() * 16 bytes (8 value + 4 order + 4 rank) per fit,
+// plus the parent's FeatureOrder, 8 bytes per parent row and feature, once
+// per dataset.
 class SortedColumns {
  public:
   SortedColumns() = default;
@@ -32,8 +42,22 @@ class SortedColumns {
   // Fails with InvalidArgument when the view is empty, has more rows than
   // a 32-bit id can address, or holds a non-finite feature value (NaN has
   // no place in the order every split search relies on). A view with no
-  // features gives an index of rows() = n and cols() = 0.
+  // features gives an index of rows() = n and cols() = 0. Non-finite
+  // values in parent rows outside the view are allowed.
   static Result<SortedColumns> Build(const DatasetView& train);
+
+  // Whether a fit of n rows over a parent dataset of parent_n rows derives
+  // its order from the parent's (one O(parent_n + n) pass per feature)
+  // rather than sorting (n log n steps per feature, each dearer). The
+  // walk starts to win about where 3 n ceil(log2 n) exceeds parent_n,
+  // measured at the a9a rung and fold shapes and at full a9a size
+  // (DESIGN.md §9).
+  static bool FromParentOrder(size_t n, size_t parent_n) {
+    if (parent_n > std::numeric_limits<uint32_t>::max()) return false;
+    size_t log2_n = 0;
+    while ((size_t{1} << log2_n) < n) ++log2_n;
+    return 3 * n * log2_n > parent_n;
+  }
 
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }

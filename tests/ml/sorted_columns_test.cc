@@ -1,12 +1,15 @@
 // SortedColumns: the presorted per-fit index every tree of an ensemble fit
-// trains on; NodeOrder, which puts a node's rows in feature order from it,
-// checked against an exact sort; and the non-finite-feature rejection that
-// guards both (NaN has no place in a strict weak ordering, so sorting over
-// it would be undefined behaviour).
+// trains on, checked against an exact sort on both of its build paths (its
+// own sort and the walk of the parent dataset's order); NodeOrder, which
+// puts a node's rows in feature order from it, checked the same way; and
+// the non-finite-feature rejection that guards both (NaN has no place in a
+// strict weak ordering, so sorting over it would be undefined behaviour).
 
 #include "ml/sorted_columns.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <utility>
@@ -15,8 +18,10 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "cv/cross_validate.h"
 #include "cv/kfold.h"
+#include "data/split.h"
 #include "ml/decision_tree.h"
 #include "ml/gbdt.h"
 #include "ml/random_forest.h"
@@ -118,6 +123,250 @@ TEST(SortedColumnsTest, ZeroFeatureFitsGrowSingleLeaves) {
   EXPECT_EQ(proba(0, 1), 4.0 / 6.0);
   ASSERT_TRUE(tree.Fit(reg).ok());
   EXPECT_EQ(tree.PredictValues(reg.features())[3], 3.0);
+}
+
+// ---------------------------------------------------------------------------
+// Build against an exact oracle: per feature, std::sort of (value,
+// fit-local id) pairs over the view's rows, dense ranks where the value
+// changes, and the view's values bit for bit. The views cover both build
+// paths: a fit small next to its parent sorts its own columns, a larger one
+// walks the parent dataset's FeatureOrder.
+// ---------------------------------------------------------------------------
+
+// 600 rows, 3 imbalanced classes, six kinds of feature: tied integers
+// 0..4 (two), continuous Gaussians (two), integers in {-1, 0, 1} whose
+// zeros carry a random sign, and a nearly constant feature.
+Dataset MixedClassification(uint64_t seed) {
+  constexpr size_t kRows = 600;
+  Rng rng(seed);
+  Matrix x(kRows, 6);
+  std::vector<int> labels(kRows);
+  for (size_t i = 0; i < kRows; ++i) {
+    x(i, 0) = static_cast<double>(rng.UniformIndex(5));
+    x(i, 1) = rng.Gaussian();
+    x(i, 2) = static_cast<double>(rng.UniformIndex(5));
+    double sign = rng.Bernoulli(0.5) ? -1.0 : 1.0;
+    x(i, 3) = sign * static_cast<double>(rng.UniformIndex(3) == 0);
+    x(i, 4) = rng.Bernoulli(0.05) ? 1.0 : 0.0;
+    x(i, 5) = rng.Gaussian(3.0, 10.0);
+    labels[i] = rng.Bernoulli(0.6) ? 0 : (rng.Bernoulli(0.7) ? 1 : 2);
+  }
+  return Dataset::Classification(std::move(x), std::move(labels), 3).value();
+}
+
+void ExpectMatchesOracle(const DatasetView& view, const SortedColumns& index) {
+  size_t n = view.n();
+  ASSERT_EQ(index.rows(), n);
+  ASSERT_EQ(index.cols(), view.num_features());
+  std::vector<std::pair<double, uint32_t>> keyed(n);
+  std::vector<double> column(n);
+  for (size_t f = 0; f < index.cols(); ++f) {
+    for (size_t i = 0; i < n; ++i) {
+      column[i] = view.feature(i, f);
+      keyed[i] = {column[i], static_cast<uint32_t>(i)};
+    }
+    std::sort(keyed.begin(), keyed.end());
+    std::vector<uint32_t> order(n), rank(n);
+    uint32_t dense = 0;
+    for (size_t p = 0; p < n; ++p) {
+      if (p > 0 && keyed[p].first != keyed[p - 1].first) ++dense;
+      order[p] = keyed[p].second;
+      rank[keyed[p].second] = dense;
+    }
+    EXPECT_EQ(std::vector<uint32_t>(index.Order(f), index.Order(f) + n),
+              order)
+        << "feature " << f;
+    EXPECT_EQ(std::vector<uint32_t>(index.Rank(f), index.Rank(f) + n), rank)
+        << "feature " << f;
+    EXPECT_EQ(std::memcmp(index.Column(f), column.data(), n * sizeof(double)),
+              0)
+        << "feature " << f;
+  }
+}
+
+void ExpectBuildMatchesOracle(const DatasetView& view) {
+  Result<SortedColumns> index = SortedColumns::Build(view);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  ExpectMatchesOracle(view, index.value());
+}
+
+// Fit sizes over a 600-row parent: 3 n ceil(log2 n) > 600 first holds at
+// n = 34, so 8, 20 and 33 sort and the rest walk; 900 only fits a
+// bootstrap.
+const size_t kFitSizes[] = {8, 20, 33, 34, 110, 480, 600, 900};
+
+TEST(SortedColumnsOracleTest, FoldComplementStratifiedAndBootstrapViews) {
+  Dataset data = MixedClassification(11);
+  Rng rng(12);
+  size_t sorted = 0, walked = 0;
+  for (size_t m : kFitSizes) {
+    SCOPED_TRACE(m);
+    if (SortedColumns::FromParentOrder(m, data.n())) {
+      ++walked;
+    } else {
+      ++sorted;
+    }
+    if (m <= data.n()) {
+      // Ascending distinct rows, the shape of a fold complement or a rung
+      // subset carried forward.
+      std::vector<size_t> rows = rng.SampleWithoutReplacement(data.n(), m);
+      std::sort(rows.begin(), rows.end());
+      ExpectBuildMatchesOracle(DatasetView(data, rows));
+      // Grouped by class, so fit-local ids do not ascend with parent ids.
+      ExpectBuildMatchesOracle(
+          DatasetView(data, SampleStratified(DatasetView(data), m, &rng)));
+    }
+    // A bootstrap bag: repeated rows are distinct fit-local ids.
+    std::vector<size_t> bag(m);
+    for (size_t& idx : bag) idx = rng.UniformIndex(data.n());
+    ExpectBuildMatchesOracle(DatasetView(data, bag));
+  }
+  EXPECT_EQ(sorted, 3u);
+  EXPECT_EQ(walked, 5u);
+
+  // A fold's training side in ascending order, as CrossValidate hands it
+  // to the model, and a bootstrap of it.
+  std::vector<size_t> all(data.n());
+  for (size_t i = 0; i < data.n(); ++i) all[i] = i;
+  FoldSet folds = RandomKFold().Build(data, all, 5, &rng).value();
+  std::vector<size_t> complement = folds.ComplementOf(2);
+  std::sort(complement.begin(), complement.end());
+  DatasetView fold(data, complement);
+  ExpectBuildMatchesOracle(fold);
+  std::vector<size_t> fold_bag(fold.n());
+  for (size_t& idx : fold_bag) idx = rng.UniformIndex(fold.n());
+  ExpectBuildMatchesOracle(fold.ViewOf(fold_bag));
+  ExpectBuildMatchesOracle(DatasetView(data));
+}
+
+TEST(SortedColumnsOracleTest, SignedZerosTieAndKeepTheirBits) {
+  // Feature 3 holds -0.0 and +0.0 in about equal numbers: they compare
+  // equal, so they tie (by fit-local id) and share a rank, while the
+  // column keeps each value's sign bit.
+  Dataset data = MixedClassification(13);
+  size_t negative_zeros = 0;
+  for (size_t i = 0; i < data.n(); ++i) {
+    double v = data.features()(i, 3);
+    negative_zeros += v == 0.0 && std::signbit(v);
+  }
+  ASSERT_GT(negative_zeros, 50u);
+  Rng rng(14);
+  for (size_t m : kFitSizes) {
+    SCOPED_TRACE(m);
+    std::vector<size_t> bag(m);
+    for (size_t& idx : bag) idx = rng.UniformIndex(data.n());
+    ExpectBuildMatchesOracle(DatasetView(data, bag));
+  }
+}
+
+// A parent with non-finite values in four rows: NaN in feature 5 of rows
+// 5, 17 and 599 and in feature 0 of row 300, +Inf in feature 1 of row 17
+// and -Inf in feature 5 of row 300.
+const size_t kNonFiniteRows[] = {5, 17, 300, 599};
+
+Dataset WithNonFiniteRows() {
+  Dataset clean = MixedClassification(15);
+  Matrix x = clean.features();
+  double nan = std::numeric_limits<double>::quiet_NaN();
+  double inf = std::numeric_limits<double>::infinity();
+  x(5, 5) = nan;
+  x(17, 5) = nan;
+  x(599, 5) = nan;
+  x(300, 0) = nan;
+  x(17, 1) = inf;
+  x(300, 5) = -inf;
+  return Dataset::Classification(std::move(x), clean.labels(), 3).value();
+}
+
+TEST(SortedColumnsOracleTest, ParentNonFiniteOnlyOutsideTheViewStillFits) {
+  Dataset data = WithNonFiniteRows();
+  Rng rng(16);
+  for (size_t m : kFitSizes) {
+    SCOPED_TRACE(m);
+    std::vector<size_t> bag;
+    while (bag.size() < m) {
+      size_t r = rng.UniformIndex(data.n());
+      if (std::count(std::begin(kNonFiniteRows), std::end(kNonFiniteRows),
+                     r) == 0) {
+        bag.push_back(r);
+      }
+    }
+    ExpectBuildMatchesOracle(DatasetView(data, bag));
+  }
+  // The parent order still lists every row: -Inf first, NaN rows last in
+  // row order.
+  const uint32_t* order = data.feature_order().Order(5);
+  EXPECT_EQ(order[0], 300u);
+  EXPECT_EQ(std::vector<uint32_t>(order + data.n() - 3, order + data.n()),
+            (std::vector<uint32_t>{5, 17, 599}));
+}
+
+TEST(SortedColumnsOracleTest, ViewWithNonFiniteValueIsRejected) {
+  Dataset data = WithNonFiniteRows();
+  Rng rng(17);
+  for (size_t m : kFitSizes) {
+    for (size_t bad : kNonFiniteRows) {
+      SCOPED_TRACE(m);
+      std::vector<size_t> bag(m);
+      for (size_t& idx : bag) idx = rng.UniformIndex(data.n());
+      bag[rng.UniformIndex(m)] = bad;
+      EXPECT_EQ(SortedColumns::Build(DatasetView(data, bag)).status().code(),
+                StatusCode::kInvalidArgument)
+          << "row " << bad;
+    }
+  }
+}
+
+TEST(SortedColumnsOracleTest, CopiesOfADatasetShareOneOrder) {
+  Dataset data = MixedClassification(18);
+  Dataset copy = data;
+  Dataset assigned;
+  assigned = copy;
+  EXPECT_EQ(&data.feature_order(), &copy.feature_order());
+  EXPECT_EQ(&data.feature_order(), &assigned.feature_order());
+  // Datasets with other features hold their own.
+  Dataset standardized = data.Standardized();
+  EXPECT_NE(&standardized.feature_order(), &data.feature_order());
+  Dataset subset = data.Subset({3, 1, 4, 1, 5});
+  EXPECT_NE(&subset.feature_order(), &data.feature_order());
+  EXPECT_EQ(subset.feature_order().rows(), 5u);
+
+  std::vector<size_t> rows(480);
+  for (size_t i = 0; i < rows.size(); ++i) rows[i] = i + 60;
+  ExpectBuildMatchesOracle(DatasetView(copy, rows));
+  ExpectBuildMatchesOracle(DatasetView(standardized, rows));
+}
+
+// Fold fits on a pool reach a fresh dataset's order together: each fold's
+// index must be the one a serial build gives, at pool sizes 1 and 8.
+TEST(ParentOrderConcurrencyTest, PoolFoldsBuildFromOneFreshOrder) {
+  for (size_t threads : {size_t{1}, size_t{8}}) {
+    SCOPED_TRACE(threads);
+    Dataset data = MixedClassification(19);
+    Rng rng(20);
+    std::vector<size_t> all(data.n());
+    for (size_t i = 0; i < data.n(); ++i) all[i] = i;
+    FoldSet folds = RandomKFold().Build(data, all, 8, &rng).value();
+    std::vector<DatasetView> views;
+    for (size_t f = 0; f < folds.num_folds(); ++f) {
+      views.emplace_back(data, folds.ComplementOf(f));
+      std::vector<size_t> bag(views.back().n());
+      for (size_t& idx : bag) idx = rng.UniformIndex(data.n());
+      views.emplace_back(data, std::move(bag));
+    }
+    std::vector<Result<SortedColumns>> built(
+        views.size(), Status::Internal("not built"));
+    ThreadPool pool(threads);
+    pool.ParallelFor(views.size(), [&](size_t v) {
+      built[v] = SortedColumns::Build(views[v]);
+    });
+    for (size_t v = 0; v < views.size(); ++v) {
+      SCOPED_TRACE(v);
+      ASSERT_TRUE(SortedColumns::FromParentOrder(views[v].n(), data.n()));
+      ASSERT_TRUE(built[v].ok()) << built[v].status().ToString();
+      ExpectMatchesOracle(views[v], built[v].value());
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -40,10 +40,12 @@ data source (exactly one):
                          machine, NTICUSdroid, a9a, fraud, credit2023,
                          satimage, usps, molecules, kc-house)
 
-data options:
+data options (--data only):
   --format csv|libsvm    input format           (default: by extension)
   --task classification|regression              (default: classification)
   --test-fraction F      holdout fraction       (default: 0.2)
+
+data options (--synthetic only):
   --scale F              synthetic scale factor (default: 0.25)
 
 output options:
@@ -99,13 +101,14 @@ Status RunCli(int argc, char** argv) {
     return Status::InvalidArgument(
         "provide exactly one of --data or --synthetic (see --help)");
   }
-  BHPO_ASSIGN_OR_RETURN(double test_fraction,
-                        flags.GetDouble("test-fraction", 0.2));
-  BHPO_ASSIGN_OR_RETURN(double scale, flags.GetDouble("scale", 0.25));
   BHPO_ASSIGN_OR_RETURN(int seed, flags.GetInt("seed", 42));
 
+  // Each source reads only its own options, so CheckUnrecognized() below
+  // rejects the other source's (--scale with --data, --task or
+  // --test-fraction with --synthetic) instead of silently ignoring them.
   TrainTestSplit data;
   if (!synthetic.empty()) {
+    BHPO_ASSIGN_OR_RETURN(double scale, flags.GetDouble("scale", 0.25));
     BHPO_ASSIGN_OR_RETURN(data, MakePaperDataset(synthetic,
                                                  static_cast<uint64_t>(seed),
                                                  scale));
@@ -119,6 +122,8 @@ Status RunCli(int argc, char** argv) {
     } else {
       return Status::InvalidArgument("unknown --task '" + task_name + "'");
     }
+    BHPO_ASSIGN_OR_RETURN(double test_fraction,
+                          flags.GetDouble("test-fraction", 0.2));
     std::string format = flags.GetString("format", "");
     if (format.empty()) {
       format = data_path.size() > 4 &&
