@@ -13,10 +13,10 @@
 #include "bench/bench_util.h"
 #include "common/stopwatch.h"
 #include "data/paper_datasets.h"
-#include "hpo/random_search.h"
+#include "hpo/bohb.h"
+#include "hpo/sequential_search.h"
 #include "hpo/sha.h"
 #include "hpo/smac.h"
-#include "hpo/tpe_search.h"
 
 namespace {
 
@@ -66,13 +66,19 @@ int main() {
         strategy = std::make_unique<VanillaStrategy>(options);
       }
 
+      RandomConfigSampler random_sampler(&space);
+      SmacConfigSampler smac_sampler(&space);
+      TpeConfigSampler tpe_sampler(&space);
       std::unique_ptr<HpoOptimizer> optimizer;
       if (method == "random") {
-        optimizer = std::make_unique<RandomSearch>(&space, strategy.get(), 10);
+        optimizer = std::make_unique<SequentialSearch>(&random_sampler,
+                                                       strategy.get(), 10);
       } else if (method == "smac") {
-        optimizer = std::make_unique<Smac>(&space, strategy.get());
+        optimizer = std::make_unique<SequentialSearch>(&smac_sampler,
+                                                       strategy.get(), 20);
       } else if (method == "tpe") {
-        optimizer = std::make_unique<TpeSearch>(&space, strategy.get());
+        optimizer = std::make_unique<SequentialSearch>(&tpe_sampler,
+                                                       strategy.get(), 20);
       } else {
         optimizer = std::make_unique<SuccessiveHalving>(space.EnumerateGrid(),
                                                         strategy.get());

@@ -18,7 +18,7 @@
 #include "data/paper_datasets.h"
 #include "hpo/bohb.h"
 #include "hpo/hyperband.h"
-#include "hpo/random_search.h"
+#include "hpo/sequential_search.h"
 #include "hpo/sha.h"
 
 namespace {
@@ -76,19 +76,18 @@ std::unique_ptr<EvalStrategy> MakeStrategy(bool enhanced,
   return std::move(created).value();
 }
 
-std::unique_ptr<HpoOptimizer> MakeOptimizer(const std::string& method,
-                                            const ConfigSpace& space,
-                                            EvalStrategy* strategy,
-                                            RandomConfigSampler* hb_sampler) {
+std::unique_ptr<HpoOptimizer> MakeOptimizer(
+    const std::string& method, const ConfigSpace& space,
+    EvalStrategy* strategy, RandomConfigSampler* random_sampler) {
   if (method == "random") {
-    return std::make_unique<RandomSearch>(&space, strategy, 10);
+    return std::make_unique<SequentialSearch>(random_sampler, strategy, 10);
   }
   if (method == "SHA" || method == "SHA+") {
     return std::make_unique<SuccessiveHalving>(space.EnumerateGrid(),
                                                strategy);
   }
   if (method == "HB" || method == "HB+") {
-    return std::make_unique<Hyperband>(hb_sampler, strategy);
+    return std::make_unique<Hyperband>(random_sampler, strategy);
   }
   if (method == "BOHB" || method == "BOHB+") {
     return std::make_unique<Bohb>(&space, strategy);
@@ -114,9 +113,9 @@ MethodOutcome RunMethod(const std::string& method, const std::string& dataset,
 
     std::unique_ptr<EvalStrategy> strategy =
         MakeStrategy(enhanced, data.train, options, 500 + seed);
-    RandomConfigSampler hb_sampler(&space);
+    RandomConfigSampler random_sampler(&space);
     std::unique_ptr<HpoOptimizer> optimizer =
-        MakeOptimizer(method, space, strategy.get(), &hb_sampler);
+        MakeOptimizer(method, space, strategy.get(), &random_sampler);
 
     Stopwatch watch;
     Rng rng(9000 + 13 * seed);

@@ -1,7 +1,6 @@
 #include "common/matrix.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
@@ -54,11 +53,6 @@ Matrix Matrix::FromRows(const std::vector<std::vector<double>>& rows) {
     for (size_t c = 0; c < m.cols_; ++c) m(r, c) = rows[r][c];
   }
   return m;
-}
-
-std::vector<double> Matrix::RowVector(size_t r) const {
-  const double* p = Row(r);
-  return std::vector<double>(p, p + cols_);
 }
 
 Matrix Matrix::SelectRows(const std::vector<size_t>& indices) const {
@@ -220,16 +214,6 @@ void Matrix::Add(const Matrix& other) {
   for (size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
 }
 
-void Matrix::Sub(const Matrix& other) {
-  BHPO_CHECK(SameShape(other));
-  for (size_t i = 0; i < data_.size(); ++i) data_[i] -= other.data_[i];
-}
-
-void Matrix::MulElem(const Matrix& other) {
-  BHPO_CHECK(SameShape(other));
-  for (size_t i = 0; i < data_.size(); ++i) data_[i] *= other.data_[i];
-}
-
 void Matrix::Scale(double factor) {
   for (double& x : data_) x *= factor;
 }
@@ -249,12 +233,6 @@ void Matrix::AddRowBroadcast(const Matrix& row) {
     double* p = Row(r);
     for (size_t c = 0; c < cols_; ++c) p[c] += b[c];
   }
-}
-
-Matrix Matrix::ColSums() const {
-  Matrix out;
-  ColSumsInto(&out);
-  return out;
 }
 
 void Matrix::ColSumsInto(Matrix* out) const {
@@ -278,12 +256,6 @@ double Matrix::Dot(const Matrix& other) const {
   double acc = 0.0;
   for (size_t i = 0; i < data_.size(); ++i) acc += data_[i] * other.data_[i];
   return acc;
-}
-
-double Matrix::MaxAbs() const {
-  double best = 0.0;
-  for (double x : data_) best = std::max(best, std::fabs(x));
-  return best;
 }
 
 std::string Matrix::ShapeString() const {

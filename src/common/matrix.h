@@ -33,7 +33,6 @@ class Matrix {
   Matrix(size_t rows, size_t cols, double fill = 0.0)
       : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
-  static Matrix Zeros(size_t rows, size_t cols) { return Matrix(rows, cols); }
   static Matrix Identity(size_t n);
   // Entries drawn iid from N(0, stddev^2).
   static Matrix RandomGaussian(size_t rows, size_t cols, Rng* rng,
@@ -83,8 +82,6 @@ class Matrix {
   std::vector<double>& data() { return data_; }
   const std::vector<double>& data() const { return data_; }
 
-  // Copies row r into a vector.
-  std::vector<double> RowVector(size_t r) const;
   // Selects a subset of rows (gather).
   Matrix SelectRows(const std::vector<size_t>& indices) const;
 
@@ -110,22 +107,18 @@ class Matrix {
 
   // Elementwise in-place ops; shapes must match.
   void Add(const Matrix& other);
-  void Sub(const Matrix& other);
-  void MulElem(const Matrix& other);
   void Scale(double factor);
   // this += factor * other (axpy).
   void AddScaled(const Matrix& other, double factor);
   // Adds a row vector (1 x cols) to every row (bias broadcast).
   void AddRowBroadcast(const Matrix& row);
 
-  // Column-wise sum -> (1 x cols). Used for bias gradients.
-  Matrix ColSums() const;
+  // Column-wise sum into *out, resized to (1 x cols). Used for bias
+  // gradients.
   void ColSumsInto(Matrix* out) const;
 
   double SumSquares() const;
   double Dot(const Matrix& other) const;
-  // Largest absolute entry (0 for an empty matrix).
-  double MaxAbs() const;
 
   bool SameShape(const Matrix& other) const {
     return rows_ == other.rows_ && cols_ == other.cols_;

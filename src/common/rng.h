@@ -17,10 +17,6 @@ class Rng {
  public:
   explicit Rng(uint64_t seed = 0) : engine_(seed) {}
 
-  // Derives an independent child generator; handy for giving each worker or
-  // each configuration its own deterministic stream.
-  Rng Fork() { return Rng(engine_()); }
-
   // Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   int UniformInt(int lo, int hi) {
     BHPO_CHECK_LE(lo, hi);

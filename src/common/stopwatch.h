@@ -19,11 +19,7 @@ class Stopwatch {
     start_ = clock_->NowSeconds();
   }
 
-  void Restart() { start_ = clock_->NowSeconds(); }
-
   double ElapsedSeconds() const { return clock_->NowSeconds() - start_; }
-
-  double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
 
  private:
   const Clock* clock_;

@@ -34,9 +34,10 @@ struct EvalResult {
   size_t cache_fold_hits = 0;
   size_t cache_fold_misses = 0;
   bool cache_result_hit = false;
-  // Set by the optimizer layer (EvaluateOrDemote) when the whole evaluation
-  // failed and was demoted to the sentinel score instead of aborting the
-  // rung. Strategies themselves never set it.
+  // Set by the optimizer layer (EvalRecorder, which demotes a demotable
+  // failure to DemotedEvalResult()) when the whole evaluation failed and
+  // scores the sentinel instead of aborting the search. Strategies
+  // themselves never set it.
   bool eval_failed = false;
 };
 

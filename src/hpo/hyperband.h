@@ -4,42 +4,10 @@
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "hpo/config_space.h"
+#include "hpo/config_sampler.h"
 #include "hpo/optimizer.h"
 
 namespace bhpo {
-
-// Supplies new configurations to Hyperband brackets and receives feedback.
-// RandomConfigSampler gives classic Hyperband (Li et al. 2017); the TPE
-// sampler in bohb.h gives BOHB.
-class ConfigSampler {
- public:
-  virtual ~ConfigSampler() = default;
-
-  virtual Configuration Sample(Rng* rng) = 0;
-
-  // Called after every evaluation; model-based samplers learn from this.
-  virtual void Observe(const Configuration& config, double score,
-                       size_t budget) {
-    (void)config;
-    (void)score;
-    (void)budget;
-  }
-
-  virtual std::string name() const = 0;
-};
-
-class RandomConfigSampler : public ConfigSampler {
- public:
-  explicit RandomConfigSampler(const ConfigSpace* space) : space_(space) {
-    BHPO_CHECK(space != nullptr);
-  }
-  Configuration Sample(Rng* rng) override { return space_->Sample(rng); }
-  std::string name() const override { return "random"; }
-
- private:
-  const ConfigSpace* space_;
-};
 
 struct HyperbandOptions {
   int eta = 3;

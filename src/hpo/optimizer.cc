@@ -55,13 +55,6 @@ void RecordEvaluation(const Configuration& config, const EvalResult& eval,
 
 }  // namespace
 
-Result<EvalResult> EvaluateOrDemote(EvalStrategy* strategy,
-                                    const Configuration& config,
-                                    const Dataset& train, size_t budget,
-                                    Rng* rng) {
-  return DemoteFailure(config, strategy->Evaluate(config, train, budget, rng));
-}
-
 void AccumulateFaults(const EvalResult& eval, FaultReport* report) {
   if (eval.eval_failed) ++report->failed_evals;
   report->failed_folds += eval.cv.failed_folds;
@@ -104,7 +97,8 @@ Result<EvalResult> EvalRecorder::Evaluate(const Configuration& config,
   Rng eval_rng = PerEvalRng(eval_root_, config, budget, train_.n());
   BHPO_ASSIGN_OR_RETURN(
       EvalResult eval,
-      EvaluateOrDemote(strategy_, config, train_, budget, &eval_rng));
+      DemoteFailure(config,
+                    strategy_->Evaluate(config, train_, budget, &eval_rng)));
   RecordEvaluation(config, eval, &result_);
   return eval;
 }

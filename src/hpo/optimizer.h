@@ -55,8 +55,9 @@ struct HpoResult {
   FaultReport faults;
 };
 
-// Common interface of the nine optimizers: random search, SHA, Hyperband,
-// BOHB, DEHB, ASHA, PASHA, SMAC and TPE. An optimizer is wired to an
+// Common interface of the nine methods: random search, SHA, Hyperband,
+// BOHB, DEHB, ASHA, PASHA, SMAC and TPE (random search, SMAC and TPE are
+// one SequentialSearch over three samplers). An optimizer is wired to an
 // EvalStrategy at construction; running the same optimizer with
 // VanillaStrategy vs EnhancedStrategy gives the paper's "X" vs "X+" pairs.
 // Every optimizer evaluates and records through EvalRecorder (below).
@@ -98,13 +99,6 @@ bool IsDemotableEvalError(const Status& status);
 // (loses any comparison), eval_failed = true, zero budget consumed.
 EvalResult DemotedEvalResult();
 
-// Evaluate, demoting demotable failures to DemotedEvalResult() instead of
-// propagating them. Non-demotable errors still return their Status.
-Result<EvalResult> EvaluateOrDemote(EvalStrategy* strategy,
-                                    const Configuration& config,
-                                    const Dataset& train, size_t budget,
-                                    Rng* rng);
-
 // Folds one evaluation's degradation counters into a run-level report.
 void AccumulateFaults(const EvalResult& eval, FaultReport* report);
 
@@ -116,8 +110,9 @@ void AccumulateFaults(const EvalResult& eval, FaultReport* report);
 // (config, budget) pair recurs — within a rung, across Hyperband brackets,
 // or across the whole run — which is what the evaluation cache exploits.
 // `eval_root` is drawn once per optimizer run from the master rng.
-// Failures are demoted as in EvaluateOrDemote, after the whole batch and in
-// input order, so logs and results do not depend on scheduling.
+// Demotable failures become DemotedEvalResult(), after the whole batch and
+// in input order, so logs and results do not depend on scheduling;
+// non-demotable errors still return their Status.
 Result<std::vector<EvalResult>> EvaluateBatch(
     EvalStrategy* strategy, const std::vector<Configuration>& configs,
     const Dataset& train, size_t budget, uint64_t eval_root,
@@ -133,7 +128,8 @@ class EvalRecorder {
                uint64_t eval_root)
       : strategy_(strategy), train_(train), eval_root_(eval_root) {}
 
-  // One configuration at `budget` (PerEvalRng, then EvaluateOrDemote).
+  // One configuration at `budget` on its PerEvalRng stream, demoted as in
+  // EvaluateBatch.
   Result<EvalResult> Evaluate(const Configuration& config, size_t budget);
 
   // A rung at one budget via EvaluateBatch, on `pool` when non-null.

@@ -1,17 +1,17 @@
 #ifndef BHPO_HPO_SMAC_H_
 #define BHPO_HPO_SMAC_H_
 
-#include "hpo/config_space.h"
-#include "hpo/optimizer.h"
+#include <vector>
+
+#include "hpo/config_sampler.h"
 
 namespace bhpo {
 
 struct SmacOptions {
-  // Total full-budget configuration evaluations.
-  size_t num_iterations = 20;
-  // Uniform-random warm start before the surrogate takes over.
+  // Uniform-random warm start: the first initial_random Sample calls draw
+  // uniformly before the surrogate takes over.
   size_t initial_random = 6;
-  // Candidates scored by the acquisition function per iteration.
+  // Candidates scored by the acquisition function per Sample call.
   size_t candidates_per_iteration = 200;
   // Expected-improvement exploration jitter.
   double ei_xi = 0.01;
@@ -19,33 +19,46 @@ struct SmacOptions {
   int surrogate_trees = 25;
 };
 
-// SMAC-style sequential model-based optimization (Hutter et al. 2011;
-// SMAC3 is one of the paper's extra baselines in Section IV-B): a
-// random-forest surrogate is fit on (encoded configuration -> observed CV
-// score) pairs, and each iteration evaluates the candidate maximizing
-// expected improvement, estimated from the forest's per-tree mean/stddev.
-// Every evaluation runs at the FULL instance budget — this is the
-// non-multi-fidelity baseline the bandit methods are compared against (the
-// paper found it "performed similarly to random search" under matched time
-// budgets).
-class Smac : public HpoOptimizer {
+// SMAC-style model-based sampler (Hutter et al. 2011; SMAC3 is one of the
+// paper's extra baselines in Section IV-B). After the warm start, each
+// Sample call fits a random-forest surrogate on every (encoded
+// configuration -> observed score) pair and returns the candidate that
+// maximizes expected improvement over the incumbent, estimated from the
+// forest's per-tree mean/stddev. The incumbent follows EvalRecorder's
+// KeepBest rule: the first observation, then only a strictly greater
+// score. Until something has been observed (every warm-start evaluation
+// demoted), Sample keeps drawing uniformly, so the surrogate is never fit
+// on zero rows.
+//
+// Run by SequentialSearch, every evaluation is at the FULL instance budget:
+// the non-multi-fidelity baseline the bandit methods are compared against
+// (the paper found it "performed similarly to random search" under matched
+// time budgets). Observations are not told apart by budget. The sampler
+// keeps its observations and its Sample count for its lifetime, as the TPE
+// and DE samplers do, so each run builds its own.
+class SmacConfigSampler : public ConfigSampler {
  public:
-  Smac(const ConfigSpace* space, EvalStrategy* strategy,
-       SmacOptions options = {})
-      : space_(space), strategy_(strategy), options_(options) {
-    BHPO_CHECK(space != nullptr && strategy != nullptr);
-    BHPO_CHECK_GT(options_.num_iterations, 0u);
+  SmacConfigSampler(const ConfigSpace* space, SmacOptions options = {})
+      : space_(space), options_(options) {
+    BHPO_CHECK(space != nullptr);
     BHPO_CHECK_GT(options_.initial_random, 0u);
+    BHPO_CHECK_GT(options_.candidates_per_iteration, 0u);
+    BHPO_CHECK_GE(options_.surrogate_trees, 1);
   }
 
-  Result<HpoResult> Optimize(const Dataset& train, Rng* rng) override;
-
+  Configuration Sample(Rng* rng) override;
+  void Observe(const Configuration& config, double score,
+               size_t budget) override;
   std::string name() const override { return "smac"; }
 
  private:
   const ConfigSpace* space_;
-  EvalStrategy* strategy_;
   SmacOptions options_;
+  size_t num_samples_ = 0;
+  // Row-major encodings of the observed configurations, one row each.
+  std::vector<double> encodings_;
+  std::vector<double> scores_;
+  double incumbent_ = 0.0;
 };
 
 // Expected improvement of N(mean, stddev^2) over `best` (maximization),

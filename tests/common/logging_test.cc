@@ -61,10 +61,6 @@ TEST(StopwatchTest, MeasuresElapsedTime) {
   for (int i = 0; i < 100000; ++i) sink = sink + i;
   double t1 = watch.ElapsedSeconds();
   EXPECT_GE(t1, t0);
-  // Two separate clock reads: agree to within 50 ms.
-  EXPECT_NEAR(watch.ElapsedMillis(), watch.ElapsedSeconds() * 1000.0, 50.0);
-  watch.Restart();
-  EXPECT_LT(watch.ElapsedSeconds(), t1 + 1.0);
 }
 
 }  // namespace

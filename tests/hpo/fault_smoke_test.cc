@@ -16,7 +16,7 @@
 #include "hpo/bohb.h"
 #include "hpo/hyperband.h"
 #include "hpo/pasha.h"
-#include "hpo/random_search.h"
+#include "hpo/sequential_search.h"
 #include "hpo/sha.h"
 
 namespace bhpo {
@@ -155,7 +155,8 @@ TEST(FaultSmoke, Pasha) {
 TEST(FaultSmoke, RandomSearch) {
   Env env = MakeEnv(70);
   VanillaStrategy strategy(env.options);
-  RandomSearch search(&env.space, &strategy, 4);
+  RandomConfigSampler sampler(&env.space);
+  SequentialSearch search(&sampler, &strategy, 4);
   Rng rng(10);
   HpoResult result = search.Optimize(env.train, &rng).value();
   CheckResult(result);

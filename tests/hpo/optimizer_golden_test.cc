@@ -25,10 +25,9 @@
 #include "hpo/dehb.h"
 #include "hpo/hyperband.h"
 #include "hpo/pasha.h"
-#include "hpo/random_search.h"
+#include "hpo/sequential_search.h"
 #include "hpo/sha.h"
 #include "hpo/smac.h"
-#include "hpo/tpe_search.h"
 #include "tests/hpo/fake_strategy.h"
 
 namespace bhpo {
@@ -98,7 +97,8 @@ struct GoldenCase {
 };
 
 Result<HpoResult> RunRandom(EvalStrategy* strategy, const ConfigSpace& space) {
-  RandomSearch search(&space, strategy, 12);
+  RandomConfigSampler sampler(&space);
+  SequentialSearch search(&sampler, strategy, 12);
   Rng rng(101);
   return search.Optimize(BudgetDataset(400), &rng);
 }
@@ -162,20 +162,20 @@ Result<HpoResult> RunPasha(EvalStrategy* strategy, const ConfigSpace& space) {
 
 Result<HpoResult> RunSmac(EvalStrategy* strategy, const ConfigSpace& space) {
   SmacOptions options;
-  options.num_iterations = 12;
   options.initial_random = 4;
   options.candidates_per_iteration = 40;
   options.surrogate_trees = 8;
-  Smac smac(&space, strategy, options);
+  SmacConfigSampler sampler(&space, options);
+  SequentialSearch smac(&sampler, strategy, 12);
   Rng rng(109);
   return smac.Optimize(BudgetDataset(400), &rng);
 }
 
 Result<HpoResult> RunTpe(EvalStrategy* strategy, const ConfigSpace& space) {
-  TpeSearchOptions options;
-  options.num_iterations = 24;
-  options.tpe.min_points = 6;
-  TpeSearch tpe(&space, strategy, options);
+  TpeOptions options;
+  options.min_points = 6;
+  TpeConfigSampler sampler(&space, options);
+  SequentialSearch tpe(&sampler, strategy, 24);
   Rng rng(110);
   return tpe.Optimize(BudgetDataset(400), &rng);
 }

@@ -2,7 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "hpo/tpe_search.h"
+#include "hpo/bohb.h"
+#include "hpo/sequential_search.h"
 #include "tests/hpo/fake_strategy.h"
 
 namespace bhpo {
@@ -36,9 +37,9 @@ TEST(SmacTest, ConvergesToGoodArmNoiseless) {
   ConfigSpace space = QualitySpace(10);
   FakeStrategy strategy(0.0);
   SmacOptions options;
-  options.num_iterations = 25;
   options.initial_random = 6;
-  Smac smac(&space, &strategy, options);
+  SmacConfigSampler sampler(&space, options);
+  SequentialSearch smac(&sampler, &strategy, 25);
   Dataset data = BudgetDataset(200);
   Rng rng(1);
   HpoResult result = smac.Optimize(data, &rng).value();
@@ -50,9 +51,8 @@ TEST(SmacTest, ConvergesToGoodArmNoiseless) {
 TEST(SmacTest, AllEvaluationsAtFullBudget) {
   ConfigSpace space = QualitySpace(5);
   FakeStrategy strategy(0.1);
-  SmacOptions options;
-  options.num_iterations = 10;
-  Smac smac(&space, &strategy, options);
+  SmacConfigSampler sampler(&space);
+  SequentialSearch smac(&sampler, &strategy, 10);
   Dataset data = BudgetDataset(300);
   Rng rng(2);
   HpoResult result = smac.Optimize(data, &rng).value();
@@ -67,9 +67,9 @@ TEST(SmacTest, SurrogatePhaseOutperformsItsWarmStart) {
   ConfigSpace space = QualitySpace(10);
   FakeStrategy strategy(0.02);
   SmacOptions options;
-  options.num_iterations = 24;
   options.initial_random = 8;
-  Smac smac(&space, &strategy, options);
+  SmacConfigSampler sampler(&space, options);
+  SequentialSearch smac(&sampler, &strategy, 24);
   Dataset data = BudgetDataset(200);
   Rng rng(3);
   HpoResult result = smac.Optimize(data, &rng).value();
@@ -84,18 +84,60 @@ TEST(SmacTest, SurrogatePhaseOutperformsItsWarmStart) {
 TEST(SmacTest, RejectsNullRng) {
   ConfigSpace space = QualitySpace(4);
   FakeStrategy strategy(0.0);
-  Smac smac(&space, &strategy);
+  SmacConfigSampler sampler(&space);
+  SequentialSearch smac(&sampler, &strategy, 20);
   Dataset data = BudgetDataset(100);
   EXPECT_FALSE(smac.Optimize(data, nullptr).ok());
+}
+
+// Fails every evaluation with a demotable error.
+class FailingStrategy : public EvalStrategy {
+ public:
+  Result<EvalResult> Evaluate(const Configuration&, const Dataset&, size_t,
+                              Rng*) override {
+    return Status::Internal("evaluation always fails");
+  }
+  std::string name() const override { return "failing"; }
+};
+
+// With nothing observed after the warm start, the sampler keeps drawing
+// uniformly instead of fitting its surrogate on zero rows, and the search
+// completes with every evaluation demoted.
+TEST(SmacTest, EveryEvaluationDemotedStillCompletes) {
+  ConfigSpace space = QualitySpace(6);
+  FailingStrategy strategy;
+  SmacOptions options;
+  options.initial_random = 3;
+  SmacConfigSampler sampler(&space, options);
+  SequentialSearch smac(&sampler, &strategy, 8);
+  Dataset data = BudgetDataset(120);
+  Rng rng(6);
+  Result<HpoResult> result = smac.Optimize(data, &rng);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->num_evaluations, 8u);
+  EXPECT_EQ(result->faults.failed_evals, 8u);
+  ASSERT_EQ(result->history.size(), 8u);
+  for (const auto& rec : result->history) EXPECT_TRUE(rec.eval_failed);
+}
+
+TEST(SequentialSearchTest, NameIsTheSamplersName) {
+  ConfigSpace space = QualitySpace(4);
+  FakeStrategy strategy(0.0);
+  RandomConfigSampler random(&space);
+  TpeConfigSampler tpe(&space);
+  SmacConfigSampler smac(&space);
+  EXPECT_EQ(SequentialSearch(&random, &strategy, 1).name(), "random");
+  EXPECT_EQ(SequentialSearch(&tpe, &strategy, 1).name(), "tpe");
+  EXPECT_EQ(SequentialSearch(&smac, &strategy, 1).name(), "smac");
 }
 
 TEST(TpeSearchTest, ConvergesToGoodArmNoiseless) {
   ConfigSpace space = QualitySpace(10);
   FakeStrategy strategy(0.0);
-  TpeSearchOptions options;
-  options.num_iterations = 40;
-  options.tpe.min_points = 8;
-  TpeSearch tpe(&space, &strategy, options);
+  TpeOptions options;
+  options.min_points = 8;
+  TpeConfigSampler sampler(&space, options);
+  SequentialSearch tpe(&sampler, &strategy, 40);
   Dataset data = BudgetDataset(200);
   Rng rng(4);
   HpoResult result = tpe.Optimize(data, &rng).value();
@@ -107,9 +149,8 @@ TEST(TpeSearchTest, ConvergesToGoodArmNoiseless) {
 TEST(TpeSearchTest, FullBudgetEvaluationsOnly) {
   ConfigSpace space = QualitySpace(4);
   FakeStrategy strategy(0.0);
-  TpeSearchOptions options;
-  options.num_iterations = 5;
-  TpeSearch tpe(&space, &strategy, options);
+  TpeConfigSampler sampler(&space);
+  SequentialSearch tpe(&sampler, &strategy, 5);
   Dataset data = BudgetDataset(150);
   Rng rng(5);
   HpoResult result = tpe.Optimize(data, &rng).value();

@@ -11,7 +11,7 @@
 #include "hpo/asha.h"
 #include "hpo/bohb.h"
 #include "hpo/hyperband.h"
-#include "hpo/random_search.h"
+#include "hpo/sequential_search.h"
 #include "hpo/sha.h"
 #include "ml/serialization.h"
 
@@ -91,7 +91,8 @@ TEST(EndToEndTest, ShaEnhancedCompletesAndGeneralizes) {
 TEST(EndToEndTest, RandomSearchBaseline) {
   Env env = MakeEnv(30);
   VanillaStrategy strategy(env.options);
-  RandomSearch search(&env.space, &strategy, 3);
+  RandomConfigSampler sampler(&env.space);
+  SequentialSearch search(&sampler, &strategy, 3);
   Rng rng(6);
   HpoResult result = search.Optimize(env.data.train, &rng).value();
   EXPECT_EQ(result.num_evaluations, 3u);

@@ -14,7 +14,7 @@ std::vector<Matrix> QuadraticGrad(const std::vector<Matrix>& params,
   std::vector<Matrix> grads;
   for (size_t i = 0; i < params.size(); ++i) {
     Matrix g = params[i];
-    g.Sub(targets[i]);
+    g.AddScaled(targets[i], -1.0);
     grads.push_back(std::move(g));
   }
   return grads;
@@ -25,7 +25,7 @@ double DistanceTo(const std::vector<Matrix>& params,
   double acc = 0.0;
   for (size_t i = 0; i < params.size(); ++i) {
     Matrix d = params[i];
-    d.Sub(targets[i]);
+    d.AddScaled(targets[i], -1.0);
     acc += d.SumSquares();
   }
   return std::sqrt(acc);

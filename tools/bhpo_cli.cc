@@ -25,7 +25,7 @@
 #include "hpo/eval_cache.h"
 #include "hpo/hyperband.h"
 #include "hpo/pasha.h"
-#include "hpo/random_search.h"
+#include "hpo/sequential_search.h"
 #include "hpo/sha.h"
 #include "ml/serialization.h"
 
@@ -94,7 +94,12 @@ Status RunCli(int argc, char** argv) {
     return Status::OK();
   }
 
-  // ---- data ----
+  // ---- flags ----
+  // Every flag is read and checked before any data is loaded or grouped,
+  // so a typo fails at once. Each data source reads only its own options,
+  // so CheckUnrecognized() rejects the other source's (--scale with --data,
+  // --task or --test-fraction with --synthetic) instead of silently
+  // ignoring them.
   std::string data_path = flags.GetString("data", "");
   std::string synthetic = flags.GetString("synthetic", "");
   if ((data_path.empty()) == (synthetic.empty())) {
@@ -103,56 +108,33 @@ Status RunCli(int argc, char** argv) {
   }
   BHPO_ASSIGN_OR_RETURN(int seed, flags.GetInt("seed", 42));
 
-  // Each source reads only its own options, so CheckUnrecognized() below
-  // rejects the other source's (--scale with --data, --task or
-  // --test-fraction with --synthetic) instead of silently ignoring them.
-  TrainTestSplit data;
+  double scale = 0.25;
+  Task task = Task::kClassification;
+  double test_fraction = 0.2;
+  std::string format;
   if (!synthetic.empty()) {
-    BHPO_ASSIGN_OR_RETURN(double scale, flags.GetDouble("scale", 0.25));
-    BHPO_ASSIGN_OR_RETURN(data, MakePaperDataset(synthetic,
-                                                 static_cast<uint64_t>(seed),
-                                                 scale));
+    BHPO_ASSIGN_OR_RETURN(scale, flags.GetDouble("scale", 0.25));
   } else {
     std::string task_name = flags.GetString("task", "classification");
-    Task task;
-    if (task_name == "classification") {
-      task = Task::kClassification;
-    } else if (task_name == "regression") {
+    if (task_name == "regression") {
       task = Task::kRegression;
-    } else {
+    } else if (task_name != "classification") {
       return Status::InvalidArgument("unknown --task '" + task_name + "'");
     }
-    BHPO_ASSIGN_OR_RETURN(double test_fraction,
+    BHPO_ASSIGN_OR_RETURN(test_fraction,
                           flags.GetDouble("test-fraction", 0.2));
-    std::string format = flags.GetString("format", "");
+    format = flags.GetString("format", "");
     if (format.empty()) {
       format = data_path.size() > 4 &&
                        data_path.substr(data_path.size() - 4) == ".csv"
                    ? "csv"
                    : "libsvm";
     }
-    Dataset full;
-    if (format == "csv") {
-      CsvOptions options;
-      options.task = task;
-      BHPO_ASSIGN_OR_RETURN(full, LoadCsv(data_path, options));
-    } else if (format == "libsvm") {
-      LibsvmOptions options;
-      options.task = task;
-      BHPO_ASSIGN_OR_RETURN(full, LoadLibsvm(data_path, options));
-    } else {
+    if (format != "csv" && format != "libsvm") {
       return Status::InvalidArgument("unknown --format '" + format + "'");
     }
-    full = full.Standardized();
-    Rng split_rng(static_cast<uint64_t>(seed));
-    BHPO_ASSIGN_OR_RETURN(
-        data, SplitTrainTest(full, test_fraction, &split_rng,
-                             task == Task::kClassification));
   }
-  std::printf("train: %s\n", data.train.Summary().c_str());
-  std::printf("test:  %s\n", data.test.Summary().c_str());
 
-  // ---- search setup ----
   std::string method = flags.GetString("method", "sha+");
   bool enhanced = !method.empty() && method.back() == '+';
   std::string base = enhanced ? method.substr(0, method.size() - 1) : method;
@@ -185,27 +167,11 @@ Status RunCli(int argc, char** argv) {
   options.factory.seed = static_cast<uint64_t>(seed) + 1;
 
   BHPO_ASSIGN_OR_RETURN(int threads, flags.GetInt("threads", 1));
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-  // Two-level parallelism on one shared pool: configurations across each
-  // rung and CV folds within each evaluation (ParallelFor is nested-safe).
-  options.cv_pool = pool.get();
-
   BHPO_ASSIGN_OR_RETURN(int cache_capacity, flags.GetInt("cache", 1 << 20));
   if (cache_capacity < 0) {
     return Status::InvalidArgument("--cache must be >= 0");
   }
-  std::unique_ptr<EvalCache> cache;
-  if (cache_capacity > 0) {
-    EvalCacheOptions cache_options;
-    cache_options.capacity = static_cast<size_t>(cache_capacity);
-    cache = std::make_unique<EvalCache>(cache_options);
-  }
-  // Fold-level reuse inside the strategy; whole-result reuse via the
-  // decorator below. Both layers share the one cache and its counters.
-  options.cache = cache.get();
 
-  // ---- fault tolerance ----
   // --fault builds an explicit injector that overrides the BHPO_FAULT
   // environment variable; without it, the null injector pointers below
   // defer to FaultInjector::Global().
@@ -227,6 +193,73 @@ Status RunCli(int argc, char** argv) {
         "--checkpoint is supported for --method sha / sha+ only (got '" +
         method + "')");
   }
+
+  GroupingOptions grouping;
+  GenFoldsOptions folds;
+  ScoringOptions scoring;
+  if (enhanced) {
+    BHPO_ASSIGN_OR_RETURN(grouping.num_groups, flags.GetInt("groups", 2));
+    grouping.seed = static_cast<uint64_t>(seed) + 2;
+    BHPO_ASSIGN_OR_RETURN(int k_gen, flags.GetInt("k-gen", 3));
+    BHPO_ASSIGN_OR_RETURN(int k_spe, flags.GetInt("k-spe", 2));
+    if (k_gen < 0 || k_spe < 0) {
+      return Status::InvalidArgument("--k-gen and --k-spe must be >= 0");
+    }
+    folds.k_gen = static_cast<size_t>(k_gen);
+    folds.k_spe = static_cast<size_t>(k_spe);
+    options.num_folds = folds.k_gen + folds.k_spe;
+    scoring.use_variance = true;
+    BHPO_ASSIGN_OR_RETURN(scoring.alpha, flags.GetDouble("alpha", 0.1));
+    BHPO_ASSIGN_OR_RETURN(scoring.beta_max,
+                          flags.GetDouble("beta-max", 10.0));
+  }
+
+  std::string json_path = flags.GetString("json", "");
+  BHPO_RETURN_NOT_OK(flags.CheckUnrecognized());
+
+  // ---- data ----
+  TrainTestSplit data;
+  if (!synthetic.empty()) {
+    BHPO_ASSIGN_OR_RETURN(data, MakePaperDataset(synthetic,
+                                                 static_cast<uint64_t>(seed),
+                                                 scale));
+  } else {
+    Dataset full;
+    if (format == "csv") {
+      CsvOptions csv_options;
+      csv_options.task = task;
+      BHPO_ASSIGN_OR_RETURN(full, LoadCsv(data_path, csv_options));
+    } else {
+      LibsvmOptions libsvm_options;
+      libsvm_options.task = task;
+      BHPO_ASSIGN_OR_RETURN(full, LoadLibsvm(data_path, libsvm_options));
+    }
+    full = full.Standardized();
+    Rng split_rng(static_cast<uint64_t>(seed));
+    BHPO_ASSIGN_OR_RETURN(
+        data, SplitTrainTest(full, test_fraction, &split_rng,
+                             task == Task::kClassification));
+  }
+  std::printf("train: %s\n", data.train.Summary().c_str());
+  std::printf("test:  %s\n", data.test.Summary().c_str());
+
+  // ---- search setup ----
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+  // Two-level parallelism on one shared pool: configurations across each
+  // rung and CV folds within each evaluation (ParallelFor is nested-safe).
+  options.cv_pool = pool.get();
+
+  std::unique_ptr<EvalCache> cache;
+  if (cache_capacity > 0) {
+    EvalCacheOptions cache_options;
+    cache_options.capacity = static_cast<size_t>(cache_capacity);
+    cache = std::make_unique<EvalCache>(cache_options);
+  }
+  // Fold-level reuse inside the strategy; whole-result reuse via the
+  // decorator below. Both layers share the one cache and its counters.
+  options.cache = cache.get();
+
   CheckpointState resume_state;
   if (resume) {
     BHPO_ASSIGN_OR_RETURN(resume_state, LoadCheckpoint(checkpoint_path));
@@ -238,23 +271,6 @@ Status RunCli(int argc, char** argv) {
 
   std::unique_ptr<EvalStrategy> strategy;
   if (enhanced) {
-    GroupingOptions grouping;
-    BHPO_ASSIGN_OR_RETURN(grouping.num_groups, flags.GetInt("groups", 2));
-    grouping.seed = static_cast<uint64_t>(seed) + 2;
-    GenFoldsOptions folds;
-    BHPO_ASSIGN_OR_RETURN(int k_gen, flags.GetInt("k-gen", 3));
-    BHPO_ASSIGN_OR_RETURN(int k_spe, flags.GetInt("k-spe", 2));
-    if (k_gen < 0 || k_spe < 0) {
-      return Status::InvalidArgument("--k-gen and --k-spe must be >= 0");
-    }
-    folds.k_gen = static_cast<size_t>(k_gen);
-    folds.k_spe = static_cast<size_t>(k_spe);
-    options.num_folds = folds.k_gen + folds.k_spe;
-    ScoringOptions scoring;
-    scoring.use_variance = true;
-    BHPO_ASSIGN_OR_RETURN(scoring.alpha, flags.GetDouble("alpha", 0.1));
-    BHPO_ASSIGN_OR_RETURN(scoring.beta_max,
-                          flags.GetDouble("beta-max", 10.0));
     BHPO_ASSIGN_OR_RETURN(
         strategy,
         EnhancedStrategy::Create(data.train, grouping, folds, scoring,
@@ -269,11 +285,8 @@ Status RunCli(int argc, char** argv) {
     eval = caching.get();
   }
 
-  std::string json_path = flags.GetString("json", "");
-  BHPO_RETURN_NOT_OK(flags.CheckUnrecognized());
-
   std::unique_ptr<HpoOptimizer> optimizer;
-  RandomConfigSampler hb_sampler(&space);
+  RandomConfigSampler random_sampler(&space);
   ShaOptions sha_options;
   sha_options.pool = pool.get();
   sha_options.checkpoint.path = checkpoint_path;
@@ -288,13 +301,13 @@ Status RunCli(int argc, char** argv) {
   HyperbandOptions hb_options;
   hb_options.pool = pool.get();
   if (base == "random") {
-    optimizer = std::make_unique<RandomSearch>(&space, eval, 10);
+    optimizer = std::make_unique<SequentialSearch>(&random_sampler, eval, 10);
   } else if (base == "sha") {
     optimizer = std::make_unique<SuccessiveHalving>(space.EnumerateGrid(),
                                                     eval,
                                                     sha_options);
   } else if (base == "hb") {
-    optimizer = std::make_unique<Hyperband>(&hb_sampler, eval,
+    optimizer = std::make_unique<Hyperband>(&random_sampler, eval,
                                             hb_options);
   } else if (base == "bohb") {
     optimizer = std::make_unique<Bohb>(&space, eval, hb_options);
