@@ -4,7 +4,8 @@
 #   1. bhpo_lint        repo invariants (determinism primitives, unordered
 #                       iteration in score paths, [[nodiscard]] Status,
 #                       raw new/delete/std::thread) over src/ bench/ tests/
-#   2. tier-1           Release build + full ctest
+#   2. tier-1           Release build with -Werror (BHPO_WERROR) + full
+#                       ctest
 #   3. clang-tidy       bugprone-*/concurrency-*/performance-* profile
 #                       (skipped with a note when clang-tidy is not installed)
 #   4. ASan+UBSan       cache + thread-pool + gather/layout suites, the
@@ -16,8 +17,9 @@
 #                       under both SIMD dispatch variants
 #   5. TSan             ThreadPool / fold-parallel CV / EvalCache suites,
 #                       fold-parallel tree CV, concurrent tree-index builds
-#                       on one fresh dataset and the contended stress test
-#                       under -fsanitize=thread
+#                       on one fresh dataset, tree-parallel forest/GBDT
+#                       fits, a pooled tree search and the contended stress
+#                       test under -fsanitize=thread
 #   6. faults           (--faults) the fault-tolerance suites plus the
 #                       FaultSmoke strategies re-run under a 30% mixed-fault
 #                       BHPO_FAULT storm — every bandit must finish and
@@ -51,11 +53,12 @@ done
 jobs="$(nproc 2>/dev/null || echo 4)"
 
 echo "== lint: bhpo_lint over src/ bench/ tests/ =="
-cmake --preset default >/dev/null
+# The tier-1 build below treats every warning as an error.
+cmake --preset default -DBHPO_WERROR=ON >/dev/null
 cmake --build build -j"$jobs" --target bhpo_lint
 ./build/tools/bhpo_lint src/ bench/ tests/
 
-echo "== tier-1: build + ctest (Release) =="
+echo "== tier-1: build (Release, -Werror) + ctest =="
 cmake --build build -j"$jobs"
 ctest --test-dir build --output-on-failure
 
@@ -83,9 +86,10 @@ if [[ "$run_asan" == 1 ]]; then
   # Every optimizer on the shared evaluate-and-record path; the promotion
   # scheduler promotes out of one per-rung vector into the next. The
   # model-construction lock fits and scores the final and fold models of
-  # every model family.
+  # every model family. The tree-search and final-fit suites grow forests
+  # and GBDTs on a pool shared with configurations and folds.
   ./build-asan/tests/bhpo_hpo_test \
-    --gtest_filter='Sha*:Asha*:Pasha*:Hyperband*:Bohb*:Dehb*:Smac*:TpeSearch*:TpeSampler*:OptimizerGolden*:ModelConstructionLock*'
+    --gtest_filter='Sha*:Asha*:Pasha*:Hyperband*:Bohb*:Dehb*:Smac*:TpeSearch*:TpeSampler*:OptimizerGolden*:ModelConstructionLock*:TreeCashSearch*:FinalFitPool*'
   ./build-asan/tests/bhpo_common_test --gtest_filter='*ThreadPool*'
   # Gather kernel under ASan, both dispatch variants: the edge-width/
   # misalignment suite flips the runtime toggle itself, and the second run
@@ -95,7 +99,8 @@ if [[ "$run_asan" == 1 ]]; then
   BHPO_SIMD=off ./build-asan/tests/bhpo_common_test \
     --gtest_filter='Gather*:MatrixSelectRowsGather*'
   ./build-asan/tests/bhpo_data_test --gtest_filter='GatherBitExact*:FeatureOrder*'
-  # The tree lock digests, the repeated-id walk and the node-order oracle:
+  # The tree lock digests (serial and on pools of 1, 2 and 8 workers), the
+  # repeated-id walk and the node-order oracle:
   # the walk stores 4 ids at a time into the sorted-ids slack. The index
   # oracle and the concurrent builds walk the parent dataset's order
   # through a per-fit row map. The tree loaders reject the malformed models
@@ -125,7 +130,7 @@ if [[ "$run_tsan" == 1 ]]; then
     --target bhpo_common_test bhpo_cv_test bhpo_hpo_test bhpo_ml_test \
              bhpo_stress_test
   ctest --test-dir build-tsan --output-on-failure \
-    -R 'bhpo_tsan_(thread_pool|cv_parallel|eval_cache|tree_cv|stress)'
+    -R 'bhpo_tsan_(thread_pool|cv_parallel|eval_cache|tree_cv|tree_search|stress)'
 else
   echo "== TSan pass skipped =="
 fi

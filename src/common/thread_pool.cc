@@ -30,7 +30,7 @@ void ThreadPool::Submit(std::function<void()> task) {
   {
     std::unique_lock<std::mutex> lock(mutex_);
     BHPO_CHECK(!shutting_down_) << "Submit after shutdown";
-    tasks_.push(Task{std::move(task), nullptr});
+    tasks_.push(std::move(task));
     ++in_flight_;
   }
   task_available_.notify_one();
@@ -42,18 +42,30 @@ void ThreadPool::Wait() {
 }
 
 void ThreadPool::RunOneTaskLocked(std::unique_lock<std::mutex>* lock) {
-  Task task = std::move(tasks_.front());
+  std::function<void()> task = std::move(tasks_.front());
   tasks_.pop();
   lock->unlock();
-  task.fn();
+  task();
+  // Destroy the task (and any batch it shares) before retaking the lock.
+  task = nullptr;
   lock->lock();
-  --in_flight_;
-  if (in_flight_ == 0) all_done_.notify_all();
-  if (task.batch != nullptr && --task.batch->pending == 0) {
-    // The batch owner waits under mutex_, so notifying while holding the
-    // lock is safe: it cannot destroy the Batch until we release it.
-    task.batch->done.notify_all();
+  if (--in_flight_ == 0) all_done_.notify_all();
+}
+
+size_t ThreadPool::RunClaims(Batch* batch) {
+  size_t ran = 0;
+  for (size_t i = batch->next.fetch_add(1); i < batch->n;
+       i = batch->next.fetch_add(1)) {
+    (*batch->fn)(i);
+    ++ran;
   }
+  return ran;
+}
+
+void ThreadPool::FinishLocked(Batch* batch, size_t ran) {
+  batch->finished += ran;
+  // The caller waits under mutex_, so it cannot miss this notification.
+  if (batch->finished == batch->n) batch->done.notify_all();
 }
 
 void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
@@ -63,31 +75,35 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
     return;
   }
 
-  Batch batch;
-  batch.pending = n;
+  auto batch = std::make_shared<Batch>(n, &fn);
+  size_t helpers = std::min(n - 1, workers_.size());
   {
     std::unique_lock<std::mutex> lock(mutex_);
     BHPO_CHECK(!shutting_down_) << "ParallelFor after shutdown";
-    for (size_t i = 0; i < n; ++i) {
-      tasks_.push(Task{[&fn, i] { fn(i); }, &batch});
-      ++in_flight_;
+    for (size_t h = 0; h < helpers; ++h) {
+      tasks_.push([this, batch] {
+        size_t ran = RunClaims(batch.get());
+        if (ran == 0) return;  // A late token: its batch is fully claimed.
+        std::unique_lock<std::mutex> token_lock(mutex_);
+        FinishLocked(batch.get(), ran);
+      });
     }
+    in_flight_ += helpers;
   }
-  task_available_.notify_all();
+  if (helpers == 1) {
+    task_available_.notify_one();
+  } else {
+    task_available_.notify_all();
+  }
 
-  // Help drain the queue instead of blocking on our batch: a pool worker
-  // that issues a nested ParallelFor keeps executing tasks (its own or
-  // anyone else's), so the pool always makes progress. We only sleep once
-  // the queue is empty, at which point every remaining task of our batch is
-  // running on some other thread and will signal `done`.
+  // The caller claims its own indices first. Once none is left it helps
+  // with other queued work (its own unpopped tokens included, which find
+  // nothing to claim) until the helpers running its last indices finish.
+  size_t ran = RunClaims(batch.get());
   std::unique_lock<std::mutex> lock(mutex_);
-  while (batch.pending > 0) {
-    if (!tasks_.empty()) {
-      RunOneTaskLocked(&lock);
-    } else {
-      batch.done.wait(lock, [&batch] { return batch.pending == 0; });
-    }
-  }
+  FinishLocked(batch.get(), ran);
+  while (batch->finished < n && !tasks_.empty()) RunOneTaskLocked(&lock);
+  batch->done.wait(lock, [&batch, n] { return batch->finished == n; });
 }
 
 void ThreadPool::WorkerLoop() {

@@ -134,7 +134,8 @@ Result<EvalResult> CrossValidateSubset(const Configuration& config,
   uint64_t config_hash = config.Hash();
   BHPO_ASSIGN_OR_RETURN(
       FoldModelFactory factory,
-      MakeFoldModelFactory(config, PerEvalFactory(options.factory, rng)));
+      MakeFoldModelFactory(config, PerEvalFactory(options.factory, rng),
+                           options.cv_pool));
   CvOptions cv_options;
   cv_options.metric = options.metric;
   cv_options.pool = options.cv_pool;

@@ -48,8 +48,9 @@ struct StrategyOptions {
   EvalMetric metric = EvalMetric::kAuto;
   // Per-model training knobs.
   FactoryOptions factory;
-  // When non-null, each evaluation's CV folds run in parallel on this pool.
-  // The pool may be the same one the optimizer spreads configurations over
+  // When non-null, each evaluation's CV folds run in parallel on this pool,
+  // and each fold's forest or GBDT fit grows its trees on it too. The pool
+  // may be the same one the optimizer spreads configurations over
   // (ParallelFor nests safely); results are identical to serial execution.
   ThreadPool* cv_pool = nullptr;
   // When non-null, per-fold scores are memoized here: folds already cached

@@ -174,31 +174,33 @@ Result<ModelSpec> ModelSpecFromConfiguration(const Configuration& config,
   return Status::InvalidArgument("unknown model family '" + family + "'");
 }
 
-std::unique_ptr<Model> BuildModel(const ModelSpec& spec, uint64_t seed) {
+std::unique_ptr<Model> BuildModel(const ModelSpec& spec, uint64_t seed,
+                                  ThreadPool* pool) {
   return std::visit(
-      [seed](auto config) -> std::unique_ptr<Model> {
+      [seed, pool](auto config) -> std::unique_ptr<Model> {
         using Config = decltype(config);
         config.seed = seed;
         if constexpr (std::is_same_v<Config, MlpConfig>) {
           return std::make_unique<MlpModel>(std::move(config));
         } else if constexpr (std::is_same_v<Config, RandomForestConfig>) {
-          return std::make_unique<RandomForest>(std::move(config));
+          return std::make_unique<RandomForest>(std::move(config), pool);
         } else {
           static_assert(std::is_same_v<Config, GbdtConfig>);
-          return std::make_unique<GbdtModel>(std::move(config));
+          return std::make_unique<GbdtModel>(std::move(config), pool);
         }
       },
       spec);
 }
 
 Result<FoldModelFactory> MakeFoldModelFactory(const Configuration& config,
-                                              const FactoryOptions& options) {
+                                              const FactoryOptions& options,
+                                              ThreadPool* pool) {
   BHPO_ASSIGN_OR_RETURN(ModelSpec spec,
                         ModelSpecFromConfiguration(config, options));
-  return FoldModelFactory([spec = std::move(spec), base_seed = options.seed](
-                              size_t fold) {
-    return BuildModel(spec, MixSeed(base_seed, fold));
-  });
+  return FoldModelFactory(
+      [spec = std::move(spec), base_seed = options.seed, pool](size_t fold) {
+        return BuildModel(spec, MixSeed(base_seed, fold), pool);
+      });
 }
 
 }  // namespace bhpo

@@ -63,15 +63,22 @@ using ModelSpec = std::variant<MlpConfig, RandomForestConfig, GbdtConfig>;
 Result<ModelSpec> ModelSpecFromConfiguration(const Configuration& config,
                                              const FactoryOptions& options);
 
-// A fresh untrained model of the resolved family, seeded with `seed`.
-std::unique_ptr<Model> BuildModel(const ModelSpec& spec, uint64_t seed);
+// A fresh untrained model of the resolved family, seeded with `seed`. A
+// non-null `pool` (not owned; it must outlive the model's fits) lets a
+// random forest grow its trees, and a GBDT each round's per-class trees, in
+// parallel; the fitted model is bit-identical at any pool size. The pool
+// is an argument of the fit, not a hyperparameter: it is not part of the
+// spec and is never serialized. The MLP ignores it.
+std::unique_ptr<Model> BuildModel(const ModelSpec& spec, uint64_t seed,
+                                  ThreadPool* pool = nullptr);
 
 // Cross-validation's factory: the configuration is resolved once, then
-// fold f's model is built at MixSeed(options.seed, f). Seeds depend only on
-// (options.seed, fold), never on which thread evaluates the fold, so
-// fold-parallel CV reproduces the serial result exactly.
+// fold f's model is built at MixSeed(options.seed, f) on `pool`. Seeds
+// depend only on (options.seed, fold), never on which thread evaluates the
+// fold, so fold-parallel CV reproduces the serial result exactly.
 Result<FoldModelFactory> MakeFoldModelFactory(const Configuration& config,
-                                              const FactoryOptions& options);
+                                              const FactoryOptions& options,
+                                              ThreadPool* pool = nullptr);
 
 }  // namespace bhpo
 

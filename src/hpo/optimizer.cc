@@ -128,10 +128,11 @@ Result<FinalEvaluation> EvaluateFinalConfig(const Configuration& config,
                                             const Dataset& train,
                                             const Dataset& test,
                                             EvalMetric metric,
-                                            const FactoryOptions& options) {
+                                            const FactoryOptions& options,
+                                            ThreadPool* pool) {
   BHPO_ASSIGN_OR_RETURN(ModelSpec spec,
                         ModelSpecFromConfiguration(config, options));
-  std::unique_ptr<Model> model = BuildModel(spec, options.seed);
+  std::unique_ptr<Model> model = BuildModel(spec, options.seed, pool);
   BHPO_RETURN_NOT_OK(model->Fit(train));
   FinalEvaluation out;
   out.train_metric = EvaluateModel(*model, train, metric);

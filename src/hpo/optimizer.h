@@ -72,7 +72,8 @@ class HpoOptimizer {
 
 // Trains the chosen configuration on the full training set and scores it on
 // train and test — the paper's "trainAcc./testAcc." rows. The model is
-// built at options.seed.
+// built at options.seed; a non-null `pool` parallelizes a tree ensemble's
+// fit (BuildModel) without changing either metric.
 struct FinalEvaluation {
   double train_metric = 0.0;
   double test_metric = 0.0;
@@ -82,7 +83,8 @@ Result<FinalEvaluation> EvaluateFinalConfig(const Configuration& config,
                                             const Dataset& train,
                                             const Dataset& test,
                                             EvalMetric metric,
-                                            const FactoryOptions& options);
+                                            const FactoryOptions& options,
+                                            ThreadPool* pool = nullptr);
 
 // --- Rung-level graceful degradation -------------------------------------
 // A bandit optimizer must never abort a bracket because one configuration's

@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "ml/activations.h"
 #include "ml/losses.h"
 
@@ -86,12 +87,13 @@ Status GbdtModel::Fit(const DatasetView& train) {
   }
 
   // Every residual tree of the fit trains on one presorted index; only the
-  // residual targets change between trees.
+  // residual targets change between trees. Each output has its own residual
+  // buffer and workspace, so a round's per-class trees can grow at once.
   BHPO_ASSIGN_OR_RETURN(SortedColumns index, SortedColumns::Build(train));
-  TreeTargets residual_targets;
-  residual_targets.values.resize(n);
-  std::vector<double>& residuals = residual_targets.values;
-  TreeWorkspace workspace;
+  std::vector<TreeTargets> residuals(outputs);
+  for (TreeTargets& targets : residuals) targets.values.resize(n);
+  std::vector<TreeWorkspace> workspaces(outputs);
+  std::vector<uint64_t> seeds(outputs);
   size_t rows_per_round = std::max<size_t>(
       2, static_cast<size_t>(config_.subsample * static_cast<double>(n)));
 
@@ -104,32 +106,50 @@ Status GbdtModel::Fit(const DatasetView& train) {
           rng.SampleWithoutReplacement(n, rows_per_round);
       std::copy(sample.begin(), sample.end(), rows.begin());
     }
+    for (uint64_t& seed : seeds) seed = rng.engine()();
 
-    // Softmax probabilities of the current scores (classification).
+    // Softmax probabilities of the round-start scores (classification).
     Matrix proba;
     if (classification) {
       proba = scores;
       SoftmaxRows(&proba);
     }
-    std::vector<std::unique_ptr<DecisionTree>> stage;
-    for (size_t k = 0; k < outputs; ++k) {
+    std::vector<std::unique_ptr<DecisionTree>> stage(outputs);
+    std::vector<Status> statuses(outputs);
+    auto grow = [&](size_t k) {
       // Pseudo-residuals: one-hot label minus probability, or target minus
       // score.
+      std::vector<double>& values = residuals[k].values;
       for (size_t i = 0; i < n; ++i) {
-        residuals[i] =
-            classification
-                ? (train.label(i) == static_cast<int>(k) ? 1.0 : 0.0) -
-                      proba(i, k)
-                : train.target(i) - scores(i, 0);
+        values[i] = classification
+                        ? (train.label(i) == static_cast<int>(k) ? 1.0 : 0.0) -
+                              proba(i, k)
+                        : train.target(i) - scores(i, 0);
       }
-      BHPO_ASSIGN_OR_RETURN(
-          std::unique_ptr<DecisionTree> tree,
-          FitResidualTree(train, index, residual_targets, rows, config_,
-                          rng.engine()(), &workspace));
+      Result<std::unique_ptr<DecisionTree>> tree =
+          FitResidualTree(train, index, residuals[k], rows, config_, seeds[k],
+                          &workspaces[k]);
+      if (!tree.ok()) {
+        statuses[k] = tree.status();
+        return;
+      }
+      stage[k] = std::move(tree).value();
+      // The residuals are spent; the buffer takes the tree's leaf values.
       for (size_t i = 0; i < n; ++i) {
-        scores(i, k) += config_.learning_rate * tree->Leaf(train.row(i))[0];
+        values[i] = stage[k]->Leaf(train.row(i))[0];
       }
-      stage.push_back(std::move(tree));
+    };
+    if (pool_ != nullptr) {
+      pool_->ParallelFor(outputs, grow);  // Serial for one output.
+    } else {
+      for (size_t k = 0; k < outputs; ++k) grow(k);
+    }
+    for (const Status& status : statuses) BHPO_RETURN_NOT_OK(status);
+    for (size_t k = 0; k < outputs; ++k) {
+      const std::vector<double>& leaves = residuals[k].values;
+      for (size_t i = 0; i < n; ++i) {
+        scores(i, k) += config_.learning_rate * leaves[i];
+      }
     }
     stages_.push_back(std::move(stage));
   }

@@ -10,6 +10,8 @@
 
 namespace bhpo {
 
+class ThreadPool;
+
 // Gradient-boosted decision trees (Friedman 2001), the library's third
 // model family. Regression boosts squared loss on residuals; binary and
 // multiclass classification boost the softmax cross-entropy with one
@@ -31,12 +33,20 @@ struct GbdtConfig {
 
 class GbdtModel : public Model {
  public:
-  explicit GbdtModel(GbdtConfig config = {}) : config_(std::move(config)) {}
+  // With a non-null `pool` (not owned), Fit grows each classification
+  // round's per-class trees in parallel on it; the fitted model is
+  // bit-identical to a serial fit at any pool size.
+  explicit GbdtModel(GbdtConfig config = {}, ThreadPool* pool = nullptr)
+      : config_(std::move(config)), pool_(pool) {}
 
   // Builds one SortedColumns index over `train`; every residual tree trains
   // on it through a list of (possibly subsampled) fit-local row ids with
-  // the residuals indexed by id. Per-round score updates walk the view
-  // row-wise without copying.
+  // the residuals indexed by id. A classification round draws its row
+  // sample and then its k tree seeds in class order; class k's residuals
+  // read only the round-start softmax, so the k trees are independent and
+  // each has its own residual buffer and workspace. Each tree's leaves are
+  // then added into its own score column. Regression boosts one tree per
+  // round, serially.
   Status Fit(const DatasetView& train) override;
   std::vector<int> PredictLabels(const FeatureRows& rows) const override;
   std::vector<double> PredictValues(const FeatureRows& rows) const override;
@@ -58,6 +68,7 @@ class GbdtModel : public Model {
   Matrix RawScores(const FeatureRows& rows) const;
 
   GbdtConfig config_;
+  ThreadPool* pool_ = nullptr;
   Task task_ = Task::kClassification;
   int num_classes_ = 0;
   // Constant initial score (class log-priors / target mean).

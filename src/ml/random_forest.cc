@@ -1,10 +1,12 @@
 #include "ml/random_forest.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <numeric>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 
 namespace bhpo {
 
@@ -37,20 +39,51 @@ Status RandomForest::Fit(const DatasetView& train) {
   // lists of fit-local row ids, so no tree gathers or sorts the fold again.
   BHPO_ASSIGN_OR_RETURN(SortedColumns index, SortedColumns::Build(train));
   TreeTargets targets = TreeTargets::Of(train);
-  TreeWorkspace workspace;
   size_t n = train.n();
-  std::vector<uint32_t> bag(n);
-  std::iota(bag.begin(), bag.end(), 0);
+  size_t num_trees = static_cast<size_t>(config_.num_trees);
 
+  // Every random draw happens here, serially and in tree order (bag t, then
+  // seed t), so the trees do not depend on which thread grows them.
+  std::vector<std::vector<uint32_t>> bags(config_.bootstrap ? num_trees : 1,
+                                          std::vector<uint32_t>(n));
+  std::vector<uint64_t> seeds(num_trees);
+  if (!config_.bootstrap) std::iota(bags[0].begin(), bags[0].end(), 0);
   Rng rng(config_.seed);
-  for (int t = 0; t < config_.num_trees; ++t) {
+  for (size_t t = 0; t < num_trees; ++t) {
     if (config_.bootstrap) {
-      for (uint32_t& id : bag) id = static_cast<uint32_t>(rng.UniformIndex(n));
+      for (uint32_t& id : bags[t]) {
+        id = static_cast<uint32_t>(rng.UniformIndex(n));
+      }
     }
-    tree_config.seed = rng.engine()();
-    auto tree = std::make_unique<DecisionTree>(tree_config);
-    BHPO_RETURN_NOT_OK(tree->FitRows(train, index, bag, targets, &workspace));
-    trees_.push_back(std::move(tree));
+    seeds[t] = rng.engine()();
+  }
+
+  trees_.resize(num_trees);
+  std::vector<Status> statuses(num_trees);
+  std::atomic<size_t> next_tree{0};
+  auto grow_chunk = [&](size_t) {
+    TreeWorkspace workspace;
+    for (size_t t = next_tree.fetch_add(1); t < num_trees;
+         t = next_tree.fetch_add(1)) {
+      DecisionTreeConfig config = tree_config;
+      config.seed = seeds[t];
+      trees_[t] = std::make_unique<DecisionTree>(config);
+      statuses[t] = trees_[t]->FitRows(
+          train, index, bags[config_.bootstrap ? t : 0], targets, &workspace);
+    }
+  };
+  if (pool_ == nullptr) {
+    grow_chunk(0);
+  } else {
+    pool_->ParallelFor(std::min(num_trees, pool_->num_threads() + 1),
+                       grow_chunk);
+  }
+  for (const Status& status : statuses) {
+    if (!status.ok()) {
+      trees_.clear();
+      fitted_ = false;
+      return status;
+    }
   }
   fitted_ = true;
   return Status::OK();

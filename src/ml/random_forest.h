@@ -10,6 +10,8 @@
 
 namespace bhpo {
 
+class ThreadPool;
+
 // Bagged ensemble of CART trees (Breiman-style random forest):
 // bootstrap-resampled training sets plus per-split random feature subsets.
 // Classification averages leaf class distributions; regression averages
@@ -27,11 +29,18 @@ struct RandomForestConfig {
 
 class RandomForest : public Model {
  public:
-  explicit RandomForest(RandomForestConfig config = {})
-      : config_(std::move(config)) {}
+  // With a non-null `pool` (not owned), Fit grows the trees in parallel on
+  // it; the fitted forest is bit-identical to a serial fit at any pool size.
+  explicit RandomForest(RandomForestConfig config = {},
+                        ThreadPool* pool = nullptr)
+      : config_(std::move(config)), pool_(pool) {}
 
   // Builds one SortedColumns index over `train` and grows every tree on it;
-  // a tree's bootstrap bag is a list of fit-local row ids.
+  // a tree's bootstrap bag is a list of fit-local row ids. Every bag and
+  // tree seed is drawn from the forest's one Rng first, in tree order; the
+  // trees are then grown in chunks, each chunk one TreeWorkspace claiming
+  // trees from a shared counter, and stored in tree order. On failure the
+  // first failing tree's status (in tree order) is returned.
   Status Fit(const DatasetView& train) override;
   // Predictions add each tree's leaf payloads straight into the output, tree
   // by tree, then divide by the tree count.
@@ -54,6 +63,7 @@ class RandomForest : public Model {
       std::istream& in);
 
   RandomForestConfig config_;
+  ThreadPool* pool_ = nullptr;
   Task task_ = Task::kClassification;
   int num_classes_ = 0;
   std::vector<std::unique_ptr<DecisionTree>> trees_;

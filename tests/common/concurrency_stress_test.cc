@@ -17,7 +17,8 @@ namespace bhpo {
 namespace {
 
 // Two-level ParallelFor from inside pool workers: outer iterations issue
-// inner loops, so workers must help drain the queue instead of blocking.
+// inner loops, so workers must run their own inner indices (and other
+// queued work) instead of blocking.
 void RunNestedParallelFor(size_t pool_size) {
   ThreadPool pool(pool_size);
   constexpr size_t kOuter = 16;

@@ -4,6 +4,7 @@
 // proportions — across a grid of sizes, fold allocations and seeds.
 
 #include <numeric>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -140,11 +141,21 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, CvPropertyTest, ::testing::ValuesIn(MakeCases()),
     [](const auto& info) {
       const PropertyCase& p = info.param;
-      return "n" + std::to_string(p.n) + "_c" +
-             std::to_string(p.num_classes) + "_v" +
-             std::to_string(p.num_groups) + "_s" +
-             std::to_string(p.subset_size) + "_g" +
-             std::to_string(p.k_gen) + "_p" + std::to_string(p.k_spe);
+      // Appends in place: chained operator+ temporaries trip GCC 12's
+      // -Wrestrict false positive inside std::string.
+      std::string name = "n";
+      name += std::to_string(p.n);
+      name += "_c";
+      name += std::to_string(p.num_classes);
+      name += "_v";
+      name += std::to_string(p.num_groups);
+      name += "_s";
+      name += std::to_string(p.subset_size);
+      name += "_g";
+      name += std::to_string(p.k_gen);
+      name += "_p";
+      name += std::to_string(p.k_spe);
+      return name;
     });
 
 }  // namespace

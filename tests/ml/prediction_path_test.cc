@@ -199,7 +199,7 @@ TEST(PredictionPathTest, EmptySubsetViewPredictsNoRows) {
   DatasetView no_values(values, {});
 
   DecisionTree tree;
-  RandomForest forest(RandomForestConfig{.num_trees = 3});
+  RandomForest forest(RandomForestConfig{.num_trees = 3, .tree = {}});
   GbdtModel gbdt(GbdtConfig{.num_rounds = 2});
   MlpModel mlp(MlpConfig{.hidden_layer_sizes = {4}, .max_iter = 2});
   ASSERT_TRUE(tree.Fit(classes).ok());

@@ -17,7 +17,9 @@
 // integer-valued features (many rows tied on one value); bootstrap on and
 // off; and GBDT subsample 1 and 0.5. At 480 rows the large nodes walk the
 // presorted order and the small ones sort packed keys, so every fit takes
-// both paths. ctest also runs the suite with BHPO_SIMD=off.
+// both paths. The forest and GBDT cases are also fitted on pools of 1, 2
+// and 8 workers and must hit the same digests. ctest also runs the suite
+// with BHPO_SIMD=off.
 
 #include <cmath>
 #include <cstdint>
@@ -28,6 +30,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "data/dataset_view.h"
 #include "data/synthetic.h"
 #include "ml/decision_tree.h"
@@ -87,7 +90,8 @@ Dataset MakeData(int num_classes, bool tied, uint64_t seed) {
   return Dataset::Regression(std::move(x), data.targets()).value();
 }
 
-uint64_t FitDigest(const LockCase& c) {
+// A null `pool` fits serially; forests and GBDTs take the pool otherwise.
+uint64_t FitDigest(const LockCase& c, ThreadPool* pool = nullptr) {
   Dataset train = MakeData(c.num_classes, c.tied, 31);
   Dataset held_out = MakeData(c.num_classes, c.tied, 32);
   Fnv1a h;
@@ -111,7 +115,7 @@ uint64_t FitDigest(const LockCase& c) {
       config.seed = 5;
       config.tree.max_depth = c.max_depth;
       config.tree.min_samples_leaf = c.min_samples_leaf;
-      RandomForest model(config);
+      RandomForest model(config, pool);
       EXPECT_TRUE(model.Fit(train).ok());
       EXPECT_TRUE(SaveRandomForest(model, text).ok());
       HashPredictions(model, train, &h);
@@ -125,7 +129,7 @@ uint64_t FitDigest(const LockCase& c) {
       config.min_samples_leaf = c.min_samples_leaf;
       config.subsample = c.resample ? 0.5 : 1.0;
       config.seed = 7;
-      GbdtModel model(config);
+      GbdtModel model(config, pool);
       EXPECT_TRUE(model.Fit(train).ok());
       EXPECT_TRUE(SaveGbdt(model, text).ok());
       h.Double(model.final_loss());
@@ -192,6 +196,20 @@ TEST(TreeBitExactTest, FitsMatchRecordedDigests) {
   for (const LockCase& c : Cases()) {
     SCOPED_TRACE(c.name);
     EXPECT_EQ(Hex(FitDigest(c)), Hex(c.digest));
+  }
+}
+
+// Growing a forest's trees, or a GBDT round's per-class trees, on a pool
+// reproduces the serial fit bit for bit at every pool size.
+TEST(TreeBitExactTest, EnsemblesMatchRecordedDigestsOnEveryPool) {
+  for (size_t workers : {1u, 2u, 8u}) {
+    ThreadPool pool(workers);
+    for (const LockCase& c : Cases()) {
+      if (c.kind == Kind::kTree) continue;
+      SCOPED_TRACE(std::string(c.name) + " on " + std::to_string(workers) +
+                   " workers");
+      EXPECT_EQ(Hex(FitDigest(c, &pool)), Hex(c.digest));
+    }
   }
 }
 

@@ -9,9 +9,12 @@
 //
 // Run with --help for the full flag list.
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "common/fault.h"
 #include "common/flags.h"
@@ -216,6 +219,11 @@ Status RunCli(int argc, char** argv) {
 
   std::string json_path = flags.GetString("json", "");
   BHPO_RETURN_NOT_OK(flags.CheckUnrecognized());
+  const std::array<std::string_view, 7> kMethods = {
+      "random", "sha", "hb", "bohb", "dehb", "asha", "pasha"};
+  if (std::find(kMethods.begin(), kMethods.end(), base) == kMethods.end()) {
+    return Status::InvalidArgument("unknown --method '" + method + "'");
+  }
 
   // ---- data ----
   TrainTestSplit data;
@@ -315,10 +323,9 @@ Status RunCli(int argc, char** argv) {
     optimizer = std::make_unique<Dehb>(&space, eval, hb_options);
   } else if (base == "asha") {
     optimizer = std::make_unique<Asha>(&space, eval);
-  } else if (base == "pasha") {
-    optimizer = std::make_unique<Pasha>(&space, eval);
   } else {
-    return Status::InvalidArgument("unknown --method '" + method + "'");
+    BHPO_CHECK_EQ(base, "pasha");  // Checked against kMethods above.
+    optimizer = std::make_unique<Pasha>(&space, eval);
   }
 
   // ---- run ----
@@ -333,7 +340,7 @@ Status RunCli(int argc, char** argv) {
   BHPO_ASSIGN_OR_RETURN(
       FinalEvaluation final,
       EvaluateFinalConfig(result.best_config, data.train, data.test, metric,
-                          options.factory));
+                          options.factory, pool.get()));
 
   std::printf("\nbest configuration: %s\n",
               result.best_config.ToString().c_str());
@@ -425,7 +432,7 @@ Status RunCli(int argc, char** argv) {
         ModelSpec spec,
         ModelSpecFromConfiguration(result.best_config, options.factory));
     std::unique_ptr<Model> final_model =
-        BuildModel(spec, options.factory.seed);
+        BuildModel(spec, options.factory.seed, pool.get());
     BHPO_RETURN_NOT_OK(final_model->Fit(data.train));
     BHPO_RETURN_NOT_OK(SaveModelToFile(*final_model, save_path));
     std::printf("saved final model to %s\n", save_path.c_str());
