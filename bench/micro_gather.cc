@@ -12,11 +12,14 @@
 //     bound on most machines and reported for honesty, not headlines.
 //
 //  2. Tree training (the tree-fit hot path: one presorted SortedColumns
-//     index per fit, walk-or-sort node order): a single DecisionTree::Fit
-//     on blobs, then RandomForest (32 trees, depth 6, sqrt(d) features)
-//     and GbdtModel (4 rounds, depth 6) fits at the a9a CASH shape — d =
-//     80, on a rung-sized (110-row) and a fold-sized (480-row) training
-//     view.
+//     index per fit, walk, sort or kept node orders): a single
+//     DecisionTree::Fit on blobs, then RandomForest (32 trees, depth 6,
+//     sqrt(d) features) and GbdtModel (4 rounds, depth 6) fits at the a9a
+//     CASH shape — d = 80, on a rung-sized (110-row) and a fold-sized
+//     (480-row) training view — and the same two families as regressors
+//     (d/3 features per forest split) on those views with the labels as
+//     targets, which times the regression scan that a GBDT's residual
+//     trees run.
 //
 //  3. The presorted index's two costs, which the best-of-reps fit times
 //     above cannot separate (only a dataset's first walking fit pays the
@@ -110,24 +113,37 @@ std::vector<size_t> Shuffled(size_t n, size_t rows, Rng* rng) {
   return indices;
 }
 
-// One ensemble family at one training size: its best-of-reps fit time.
-// Returns the JSON record.
-std::string BenchEnsemble(const char* name, const TrainTestSplit& data,
-                          size_t rows, int reps, double* sink) {
+// The first prediction of `model` on `test`: a class probability or a
+// value.
+template <typename M>
+double FirstPrediction(const M& model, const Matrix& test,
+                       bool classification) {
+  if (classification) {
+    return model.PredictProba(test)(0, 0);
+  }
+  return model.PredictValues(test)[0];
+}
+
+// One ensemble family ("random_forest" or "gbdt", either suffixed
+// "_regression" when `data` is a regression set) at one training size:
+// its best-of-reps fit time. Returns the JSON record.
+std::string BenchEnsemble(const char* name, const Dataset& data,
+                          const Matrix& test, size_t rows, int reps,
+                          double* sink) {
   std::vector<size_t> first(rows);
   std::iota(first.begin(), first.end(), 0);
-  DatasetView train(data.train, first);
-  const Matrix& test = data.test.features();
-  bool forest = std::string(name) == "random_forest";
+  DatasetView train(data, first);
+  bool forest = std::string(name).starts_with("random_forest");
   double default_ms = TimeMs(reps, sink, [&] {
     if (forest) {
       RandomForestConfig config;
       config.num_trees = 32;
       config.seed = 5;
-      config.tree.max_depth = 6;  // max_features 0 = sqrt(d).
+      // max_features 0 = sqrt(d), or d/3 for regression.
+      config.tree.max_depth = 6;
       RandomForest model(config);
       BHPO_CHECK(model.Fit(train).ok());
-      return model.PredictProba(test)(0, 0);
+      return FirstPrediction(model, test, data.is_classification());
     }
     GbdtConfig config;
     config.num_rounds = 4;
@@ -135,11 +151,11 @@ std::string BenchEnsemble(const char* name, const TrainTestSplit& data,
     config.seed = 5;
     GbdtModel model(config);
     BHPO_CHECK(model.Fit(train).ok());
-    return model.PredictProba(test)(0, 0);
+    return FirstPrediction(model, test, data.is_classification());
   });
-  size_t d = data.train.num_features();
-  std::fprintf(stderr, "%-13s rows %4zu d %zu  fit %8.3f ms\n", name, rows, d,
-               default_ms);
+  size_t d = data.num_features();
+  std::fprintf(stderr, "%-24s rows %4zu d %zu  fit %8.3f ms\n", name, rows,
+               d, default_ms);
   return "{\"model\": \"" + std::string(name) +
          "\", \"rows\": " + std::to_string(rows) +
          ", \"d\": " + std::to_string(d) +
@@ -291,11 +307,23 @@ int Main(int argc, char** argv) {
   // and 80 features; 110 rows is an early rung, 480 a 5-fold training side.
   TrainTestSplit a9a = MakePaperDataset("a9a", 7, 0.3).value();
   std::string presort_json = BenchPresort(a9a.train, reps, &sink);
+  // The a9a labels as regression targets: what a binary GBDT's first
+  // residual trees fit.
+  std::vector<double> label_values(a9a.train.labels().begin(),
+                                   a9a.train.labels().end());
+  Dataset a9a_regression =
+      Dataset::Regression(Matrix(a9a.train.features()),
+                          std::move(label_values))
+          .value();
   std::string ensemble_json;
-  for (const char* model : {"random_forest", "gbdt"}) {
+  for (const char* model : {"random_forest", "gbdt", "random_forest_regression",
+                            "gbdt_regression"}) {
+    bool regression = std::string(model).ends_with("_regression");
     for (size_t rows : {size_t{110}, size_t{480}}) {
       if (!ensemble_json.empty()) ensemble_json += ", ";
-      ensemble_json += BenchEnsemble(model, a9a, rows, tree_reps, &sink);
+      ensemble_json += BenchEnsemble(
+          model, regression ? a9a_regression : a9a.train,
+          a9a.test.features(), rows, tree_reps, &sink);
     }
   }
 

@@ -3,7 +3,8 @@
 #
 #   1. bhpo_lint        repo invariants (determinism primitives, unordered
 #                       iteration in score paths, [[nodiscard]] Status,
-#                       raw new/delete/std::thread) over src/ bench/ tests/
+#                       raw new/delete/std::thread, x86 intrinsics headers
+#                       outside the AVX2 kernels) over src/ bench/ tests/
 #   2. tier-1           Release build with -Werror (BHPO_WERROR) + full
 #                       ctest
 #   3. clang-tidy       bugprone-*/concurrency-*/performance-* profile
@@ -100,8 +101,9 @@ if [[ "$run_asan" == 1 ]]; then
     --gtest_filter='Gather*:MatrixSelectRowsGather*'
   ./build-asan/tests/bhpo_data_test --gtest_filter='GatherBitExact*:FeatureOrder*'
   # The tree lock digests (serial and on pools of 1, 2 and 8 workers), the
-  # repeated-id walk and the node-order oracle:
-  # the walk stores 4 ids at a time into the sorted-ids slack. The index
+  # repeated-id walk, the node-order oracle and the kept-order partition
+  # oracle (TreeBitExactPartition*): the walk stores 4 ids at a time into
+  # the slack of the sorted-ids and kept-order buffers. The index
   # oracle and the concurrent builds walk the parent dataset's order
   # through a per-fit row map. The tree loaders reject the malformed models
   # that read out of bounds. The prediction-path suite walks every model

@@ -51,12 +51,17 @@ class TreeWorkspace {
  private:
   friend class DecisionTree;
   std::vector<uint32_t> rows_;       // The tree's ids, partitioned by node.
-  std::vector<uint32_t> sorted_;     // A node's ids in feature order, + 3.
+  std::vector<uint32_t> sorted_;     // Two features' node orders, + 3 each.
+  // Trees that scan every feature: each feature's order of the tree's ids,
+  // d slices of rows_.size() ids (+ 3), partitioned by node like rows_.
+  std::vector<uint32_t> kept_;
   std::vector<uint32_t> spill_;      // Right side of a stable partition.
+  std::vector<uint8_t> side_;        // Per-fit-id side of the last split.
   std::vector<uint64_t> keys_;       // Packed (rank << 32 | id) sort keys.
   std::vector<uint32_t> counts_;     // Per-fit-id multiplicity (walks).
   std::vector<size_t> features_;     // Candidate features of a node.
   std::vector<uint32_t> class_counts_;  // Node then left class counts.
+  std::vector<int32_t> ones_;        // Prefix counts of class 1 (binary).
   std::vector<double> scan_;         // Per-position split statistics.
   std::vector<double> leaf_;         // Leaf payload under construction.
 };
@@ -118,11 +123,23 @@ class DecisionTree : public Model {
     std::vector<double> value;
   };
 
-  // Recursive builder over the node's fit-local ids `ids[0..n)`; `order`
-  // puts them in each candidate feature's order.
+  // Recursive builder over the node's fit-local ids `ids[0..n)`, a slice
+  // of ws->rows_. A tree that scans every feature reads each feature's
+  // order from ws->kept_; any other asks `order`.
   int BuildNodeImpl(NodeOrder& order, const TreeTargets& targets,
                     TreeWorkspace* ws, uint32_t* ids, size_t n, int depth,
                     Rng* rng);
+  // Whether every node scans every feature (max_features 0 or >= d).
+  bool ScansAllFeatures(size_t d) const {
+    return config_.max_features == 0 ||
+           static_cast<size_t>(config_.max_features) >= d;
+  }
+  // Whether a node of n rows at `depth` is a leaf whatever its rows hold.
+  bool ForcedLeaf(size_t n, int depth) const {
+    return (config_.max_depth > 0 && depth >= config_.max_depth) ||
+           n < static_cast<size_t>(config_.min_samples_split) ||
+           n < 2 * static_cast<size_t>(config_.min_samples_leaf);
+  }
   const Node& Descend(const double* row) const;
 
   DecisionTreeConfig config_;

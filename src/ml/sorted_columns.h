@@ -92,14 +92,13 @@ class SortedColumns {
 // it occurs in the node; a small one sorts packed (rank << 32 | id) keys.
 // Both give the same sequence, so the choice never shows in a tree.
 //
-// Buffers, all owned by the caller: `sorted` holds at least m + 3 ids and
-// `keys` m keys for the largest node m; `counts` holds rows() zeros and is
-// zero again after each EndNode.
+// Buffers, all owned by the caller: `keys` holds m keys for the largest
+// node m; `counts` holds rows() zeros and is zero again after each
+// EndNode.
 class NodeOrder {
  public:
-  NodeOrder(const SortedColumns* index, uint32_t* sorted, uint64_t* keys,
-            uint32_t* counts)
-      : index_(index), sorted_(sorted), keys_(keys), counts_(counts) {}
+  NodeOrder(const SortedColumns* index, uint64_t* keys, uint32_t* counts)
+      : index_(index), keys_(keys), counts_(counts) {}
 
   // Whether a node of m ids out of n_fit fit rows walks. A walk costs one
   // pass over the whole fit per feature; a key sort costs m log m steps,
@@ -122,10 +121,9 @@ class NodeOrder {
     }
   }
 
-  // The node's n ids in feature f's (value, id) order, valid until the
-  // next call.
-  const uint32_t* SortedBy(size_t f, const uint32_t* ids, size_t n) {
-    uint32_t* out = sorted_;
+  // Writes the node's n ids in feature f's (value, id) order to out[0, n).
+  // `out` holds n + 3 ids: a walk may store up to 3 past the last one.
+  void SortedBy(size_t f, const uint32_t* ids, size_t n, uint32_t* out) {
     if (walk_) {
       // Bootstrap multiplicities are Poisson(1), so a loop over them
       // mispredicts at almost every row; instead store the id four times
@@ -156,7 +154,6 @@ class NodeOrder {
       std::sort(keys_, keys_ + n);
       for (size_t i = 0; i < n; ++i) out[i] = static_cast<uint32_t>(keys_[i]);
     }
-    return out;
   }
 
   void EndNode(const uint32_t* ids, size_t n) {
@@ -167,11 +164,33 @@ class NodeOrder {
 
  private:
   const SortedColumns* index_;
-  uint32_t* sorted_;
   uint64_t* keys_;
   uint32_t* counts_;
   bool walk_ = false;
 };
+
+// Stable partition of ids[0, n) by side[id]: the ids of side 0 keep their
+// order at the front, then those of side 1 in order. Returns the count of
+// side 0. `spill` holds n ids. Applied to a node's ids in one feature's
+// order, it leaves each child's ids in that order, as NodeOrder would put
+// them (sorted_columns_test.cc checks this against SortedBy), so a tree
+// that scans every feature at every node keeps each feature's order from
+// the root down instead of ordering each node again. Branchless: every id
+// is stored to both sides and only its own side's cursor moves.
+inline size_t PartitionBySide(uint32_t* ids, size_t n, const uint8_t* side,
+                              uint32_t* spill) {
+  size_t left = 0, right = 0;
+  for (size_t i = 0; i < n; ++i) {
+    uint32_t id = ids[i];
+    size_t s = side[id];
+    ids[left] = id;
+    spill[right] = id;
+    left += 1 - s;
+    right += s;
+  }
+  std::copy(spill, spill + right, ids + left);
+  return left;
+}
 
 }  // namespace bhpo
 

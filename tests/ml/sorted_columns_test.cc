@@ -12,6 +12,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -402,7 +403,7 @@ TEST(NodeOrderTest, MatchesExactSortOnBothSidesOfTheCutOff) {
   const size_t sizes[] = {1, 2, 3, 5, 9, 16, 17, 18, 40, 120, 400, 900};
   std::vector<uint32_t> sorted(900 + 3), counts(n_fit, 0);
   std::vector<uint64_t> keys(900);
-  NodeOrder order(&index, sorted.data(), keys.data(), counts.data());
+  NodeOrder order(&index, keys.data(), counts.data());
   size_t walked = 0, key_sorted = 0;
   for (size_t m : sizes) {
     SCOPED_TRACE(m);
@@ -422,8 +423,9 @@ TEST(NodeOrderTest, MatchesExactSortOnBothSidesOfTheCutOff) {
 
     order.BeginNode(ids.data(), m);
     for (size_t f = 0; f < index.cols(); ++f) {
-      const uint32_t* got = order.SortedBy(f, ids.data(), m);
-      EXPECT_EQ(std::vector<uint32_t>(got, got + m), OracleOrder(view, f, ids))
+      order.SortedBy(f, ids.data(), m, sorted.data());
+      EXPECT_EQ(std::vector<uint32_t>(sorted.begin(), sorted.begin() + m),
+                OracleOrder(view, f, ids))
           << "feature " << f;
     }
     order.EndNode(ids.data(), m);
@@ -433,6 +435,125 @@ TEST(NodeOrderTest, MatchesExactSortOnBothSidesOfTheCutOff) {
   }
   EXPECT_EQ(key_sorted, 6u);
   EXPECT_EQ(walked, 6u);
+}
+
+// ---------------------------------------------------------------------------
+// PartitionBySide against the same oracle. A tree that scans every feature
+// orders each feature once at the root and then stably partitions every
+// feature's order at each split; each child's slice must then be exactly
+// what NodeOrder::SortedBy (walk or sort) and the exact sort give for the
+// child's ids. The suite name puts it under the tree-lock filters of the
+// sanitizer passes.
+// ---------------------------------------------------------------------------
+
+// Orders the node `ids` by every feature of `view`, splits them on feature
+// `split` at `threshold` (left when value <= threshold), partitions every
+// feature's order and checks both children's slices. Returns the left
+// child's size.
+size_t ExpectChildrenKeepTheirOrder(const DatasetView& view,
+                                    const std::vector<uint32_t>& ids,
+                                    size_t split, double threshold) {
+  SortedColumns index = SortedColumns::Build(view).value();
+  size_t n_fit = index.rows(), d = index.cols(), m = ids.size();
+  std::vector<uint64_t> keys(m);
+  std::vector<uint32_t> counts(n_fit, 0), kept(d * m + 3), spill(m);
+  NodeOrder order(&index, keys.data(), counts.data());
+  order.BeginNode(ids.data(), m);
+  for (size_t f = 0; f < d; ++f) {
+    order.SortedBy(f, ids.data(), m, kept.data() + f * m);
+  }
+  order.EndNode(ids.data(), m);
+
+  std::vector<uint8_t> side(n_fit, 0);
+  std::vector<uint32_t> children[2];
+  for (uint32_t id : ids) {
+    side[id] = !(view.feature(id, split) <= threshold);
+    children[side[id]].push_back(id);
+  }
+  for (size_t f = 0; f < d; ++f) {
+    SCOPED_TRACE(f);
+    uint32_t* slice = kept.data() + f * m;
+    EXPECT_EQ(PartitionBySide(slice, m, side.data(), spill.data()),
+              children[0].size());
+    const uint32_t* begin = slice;
+    for (const std::vector<uint32_t>& child : children) {
+      std::vector<uint32_t> got(begin, begin + child.size());
+      begin += child.size();
+      std::vector<uint32_t> walked(child.size() + 3);
+      order.BeginNode(child.data(), child.size());
+      order.SortedBy(f, child.data(), child.size(), walked.data());
+      order.EndNode(child.data(), child.size());
+      walked.resize(child.size());
+      EXPECT_EQ(got, walked) << "child of " << child.size() << " ids";
+      EXPECT_EQ(got, OracleOrder(view, f, child));
+    }
+  }
+  EXPECT_EQ(std::count(counts.begin(), counts.end(), 0u),
+            static_cast<ptrdiff_t>(n_fit));
+  return children[0].size();
+}
+
+TEST(TreeBitExactPartitionTest, TiedFeaturesWithRepeatedIds) {
+  // Integer features on a bootstrap view: ties within and across parent
+  // rows, and a node that holds some ids several times.
+  Dataset data = TiedClassification(300, 4, 11);
+  Rng rng(12);
+  std::vector<size_t> bag(400);
+  for (size_t& idx : bag) idx = rng.UniformIndex(data.n());
+  DatasetView view(data, bag);
+  std::vector<uint32_t> ids(400);
+  for (uint32_t& id : ids) {
+    id = static_cast<uint32_t>(rng.UniformIndex(view.n()));
+  }
+  std::fill(ids.begin(), ids.begin() + 9, ids[9]);
+  rng.Shuffle(&ids);
+  // Every threshold between the integer levels of feature 2.
+  for (double threshold : {0.5, 1.5, 2.5, 3.5}) {
+    SCOPED_TRACE(threshold);
+    ExpectChildrenKeepTheirOrder(view, ids, 2, threshold);
+  }
+}
+
+TEST(TreeBitExactPartitionTest, SubsampledIdsOnBothSidesOfTheCutOff) {
+  // A GBDT-style subsample without repeats, at node sizes that sort and
+  // that walk, split unevenly so one child walks and the other sorts.
+  Dataset data = TiedClassification(500, 3, 13);
+  DatasetView view(data);
+  Rng rng(14);
+  size_t walked = 0, key_sorted = 0;
+  for (size_t m : {6u, 16u, 60u, 250u}) {
+    SCOPED_TRACE(m);
+    std::vector<size_t> sample = rng.SampleWithoutReplacement(data.n(), m);
+    std::vector<uint32_t> ids(sample.begin(), sample.end());
+    (NodeOrder::Walks(m, data.n()) ? walked : key_sorted) += 1;
+    size_t n_left = ExpectChildrenKeepTheirOrder(view, ids, 0, 0.5);
+    EXPECT_GT(n_left, 0u);
+    EXPECT_LT(n_left, m);
+  }
+  EXPECT_EQ(walked, 2u);
+  EXPECT_EQ(key_sorted, 2u);
+}
+
+TEST(TreeBitExactPartitionTest, SplitSendingOneRowRight) {
+  // Continuous features: the largest value of feature 1 is unique, so a
+  // threshold just below it sends exactly one row right.
+  Dataset data = TiedClassification(200, 3, 15);
+  Matrix x = data.features();
+  Rng rng(16);
+  for (double& v : x.data()) v += rng.Uniform();
+  Dataset continuous =
+      Dataset::Classification(std::move(x), data.labels(), 3).value();
+  DatasetView view(continuous);
+  std::vector<double> column(view.n());
+  for (size_t i = 0; i < view.n(); ++i) column[i] = view.feature(i, 1);
+  std::vector<double> sorted_column = column;
+  std::sort(sorted_column.begin(), sorted_column.end());
+  double threshold = (sorted_column[view.n() - 2] + sorted_column.back()) / 2;
+  std::vector<uint32_t> ids(view.n());
+  std::iota(ids.begin(), ids.end(), 0);
+  rng.Shuffle(&ids);
+  EXPECT_EQ(ExpectChildrenKeepTheirOrder(view, ids, 1, threshold),
+            view.n() - 1);
 }
 
 // ---------------------------------------------------------------------------

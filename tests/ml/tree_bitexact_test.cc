@@ -15,9 +15,13 @@
 // The cases cover binary, 6-class and 10-class classification and
 // regression; min_samples_leaf 1 and 8; limited and unlimited depth;
 // integer-valued features (many rows tied on one value); bootstrap on and
-// off; and GBDT subsample 1 and 0.5. At 480 rows the large nodes walk the
-// presorted order and the small ones sort packed keys, so every fit takes
-// both paths. The forest and GBDT cases are also fitted on pools of 1, 2
+// off; GBDT subsample 1 and 0.5; 10, 7 and 1 features (the regression
+// scan pairs features, and an odd last one with itself); standalone trees
+// at max_features d (every node keeps each feature's order by partition)
+// and d - 1 (nodes walk or sort); and the CASH benchmark's shape, 480 rows
+// of the a9a stand-in at 80 features. At 480 rows the large nodes walk the
+// presorted order and the small ones sort packed keys, so every fit that
+// does not keep its orders takes both paths. The forest and GBDT cases are also fitted on pools of 1, 2
 // and 8 workers and must hit the same digests. ctest also runs the suite
 // with BHPO_SIMD=off.
 
@@ -32,6 +36,7 @@
 
 #include "common/thread_pool.h"
 #include "data/dataset_view.h"
+#include "data/paper_datasets.h"
 #include "data/synthetic.h"
 #include "ml/decision_tree.h"
 #include "ml/gbdt.h"
@@ -43,6 +48,8 @@ namespace bhpo {
 namespace {
 
 enum class Kind { kTree, kForest, kGbdt };
+
+constexpr size_t kFeatures = 10;
 
 struct LockCase {
   const char* name;
@@ -57,17 +64,26 @@ struct LockCase {
   int max_depth = 0;
   // Forest: bootstrap bags. GBDT: subsample 0.5 instead of 1.
   bool resample = false;
+  // Feature columns of the generated data. An odd count leaves the
+  // regression scan's last feature without a partner.
+  size_t features = kFeatures;
+  // Tree: candidate features per split (0 = all). Forest: trees.
+  int max_features = 0;
+  int num_trees = 6;
+  // Train on the first 480 training rows of MakePaperDataset("a9a", 31,
+  // 0.3) instead: the CASH benchmark's shape, 80 features. `features` and
+  // `tied` do not apply.
+  bool a9a = false;
 };
 
 constexpr size_t kRows = 480;
-constexpr size_t kFeatures = 10;
 
-Dataset MakeData(int num_classes, bool tied, uint64_t seed) {
+Dataset MakeData(int num_classes, bool tied, size_t features, uint64_t seed) {
   Dataset data;
   if (num_classes > 0) {
     BlobsSpec spec;
     spec.n = kRows;
-    spec.num_features = kFeatures;
+    spec.num_features = features;
     spec.num_classes = num_classes;
     spec.label_noise = 0.1;
     spec.seed = seed;
@@ -75,7 +91,7 @@ Dataset MakeData(int num_classes, bool tied, uint64_t seed) {
   } else {
     RegressionSpec spec;
     spec.n = kRows;
-    spec.num_features = kFeatures;
+    spec.num_features = features;
     spec.seed = seed;
     data = MakeRegression(spec).value().Standardized();
   }
@@ -92,8 +108,20 @@ Dataset MakeData(int num_classes, bool tied, uint64_t seed) {
 
 // A null `pool` fits serially; forests and GBDTs take the pool otherwise.
 uint64_t FitDigest(const LockCase& c, ThreadPool* pool = nullptr) {
-  Dataset train = MakeData(c.num_classes, c.tied, 31);
-  Dataset held_out = MakeData(c.num_classes, c.tied, 32);
+  Dataset train, held_out;
+  DatasetView view;
+  if (c.a9a) {
+    TrainTestSplit split = MakePaperDataset("a9a", 31, 0.3).value();
+    train = std::move(split.train);
+    held_out = std::move(split.test);
+    std::vector<size_t> rows(kRows);
+    std::iota(rows.begin(), rows.end(), 0);
+    view = DatasetView(train, std::move(rows));
+  } else {
+    train = MakeData(c.num_classes, c.tied, c.features, 31);
+    held_out = MakeData(c.num_classes, c.tied, c.features, 32);
+    view = DatasetView(train);
+  }
   Fnv1a h;
   std::ostringstream text;
   switch (c.kind) {
@@ -101,8 +129,9 @@ uint64_t FitDigest(const LockCase& c, ThreadPool* pool = nullptr) {
       DecisionTreeConfig config;
       config.max_depth = c.max_depth;
       config.min_samples_leaf = c.min_samples_leaf;
+      config.max_features = c.max_features;
       DecisionTree model(config);
-      EXPECT_TRUE(model.Fit(train).ok());
+      EXPECT_TRUE(model.Fit(view).ok());
       EXPECT_TRUE(SaveDecisionTree(model, text).ok());
       HashPredictions(model, train, &h);
       HashPredictions(model, held_out, &h);
@@ -110,13 +139,13 @@ uint64_t FitDigest(const LockCase& c, ThreadPool* pool = nullptr) {
     }
     case Kind::kForest: {
       RandomForestConfig config;
-      config.num_trees = 6;
+      config.num_trees = c.num_trees;
       config.bootstrap = c.resample;
       config.seed = 5;
       config.tree.max_depth = c.max_depth;
       config.tree.min_samples_leaf = c.min_samples_leaf;
       RandomForest model(config, pool);
-      EXPECT_TRUE(model.Fit(train).ok());
+      EXPECT_TRUE(model.Fit(view).ok());
       EXPECT_TRUE(SaveRandomForest(model, text).ok());
       HashPredictions(model, train, &h);
       HashPredictions(model, held_out, &h);
@@ -130,7 +159,7 @@ uint64_t FitDigest(const LockCase& c, ThreadPool* pool = nullptr) {
       config.subsample = c.resample ? 0.5 : 1.0;
       config.seed = 7;
       GbdtModel model(config, pool);
-      EXPECT_TRUE(model.Fit(train).ok());
+      EXPECT_TRUE(model.Fit(view).ok());
       EXPECT_TRUE(SaveGbdt(model, text).ok());
       h.Double(model.final_loss());
       HashPredictions(model, train, &h);
@@ -189,6 +218,42 @@ std::vector<LockCase> Cases() {
        kGbdt, 0, false, 1, 8},
       {"gbdt_regression_tied_leaf8_subsample", 0x5b91dd6e401f2069ULL,
        kGbdt, 0, true, 8, 3, true},
+      // Odd and single feature counts: the regression scan pairs the last
+      // feature with itself.
+      {"tree_regression_7features", 0x1b218ee917a7b860ULL,
+       kTree, 0, false, 1, 0, false, 7},
+      {"tree_regression_tied_7features_depth5", 0xc4e0dfcd921d1d15ULL,
+       kTree, 0, true, 1, 5, false, 7},
+      {"tree_regression_1feature", 0xdd3a5c3908e63ba8ULL,
+       kTree, 0, false, 1, 0, false, 1},
+      {"tree_binary_1feature", 0x6261fdaf586cde15ULL,
+       kTree, 2, false, 1, 0, false, 1},
+      {"gbdt_regression_7features", 0xebf3e4e8b5c1ec3aULL,
+       kGbdt, 0, false, 1, 5, false, 7},
+      {"gbdt_6class_tied_7features_subsample", 0x6e8031e04c506818ULL,
+       kGbdt, 6, true, 2, 4, true, 7},
+      {"gbdt_regression_1feature_subsample", 0x1a51a4234db35a29ULL,
+       kGbdt, 0, false, 1, 3, true, 1},
+      {"forest_regression_1feature_bootstrap", 0x5157ab228aa4aa6eULL,
+       kForest, 0, false, 1, 0, true, 1},
+      {"forest_regression_7features_bootstrap_depth8", 0x27788dae3819adb6ULL,
+       kForest, 0, false, 1, 8, true, 7},
+      // Standalone trees drawing every feature per split, and all but one.
+      {"tree_binary_max_features_d", 0x8f0c56c1f1f061c7ULL,
+       kTree, 2, false, 1, 0, false, kFeatures, 10},
+      {"tree_binary_max_features_d_minus_1", 0x5b842a4225ca20daULL,
+       kTree, 2, false, 1, 0, false, kFeatures, 9},
+      {"tree_regression_tied_max_features_d", 0x93515d741b8c4490ULL,
+       kTree, 0, true, 1, 0, false, kFeatures, 10},
+      {"tree_regression_tied_max_features_d_minus_1", 0xf959dea8a30a249dULL,
+       kTree, 0, true, 1, 0, false, kFeatures, 9},
+      // The CASH benchmark's shape.
+      {"cash_gbdt_binary_depth6", 0x0a303731f8758377ULL,
+       kGbdt, 2, false, 2, 6, false, 0, 0, 6, true},
+      {"cash_gbdt_binary_depth6_leaf8_subsample", 0x731fc6ea34f3f47bULL,
+       kGbdt, 2, false, 8, 6, true, 0, 0, 6, true},
+      {"cash_forest_16trees_depth6", 0xbd4ca73dea4c23faULL,
+       kForest, 2, false, 2, 6, true, 0, 0, 16, true},
   };
 }
 
@@ -218,7 +283,7 @@ TEST(TreeBitExactTest, EnsemblesMatchRecordedDigestsOnEveryPool) {
 // and another 9 times at the root, which is large enough to walk, and in
 // the nodes below it that keep them.
 uint64_t RepeatedIdsDigest(int num_classes) {
-  Dataset data = MakeData(num_classes, false, 33);
+  Dataset data = MakeData(num_classes, false, kFeatures, 33);
   DatasetView view(data);
   std::vector<uint32_t> ids(data.n());
   std::iota(ids.begin(), ids.end(), 0);

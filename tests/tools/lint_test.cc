@@ -116,6 +116,21 @@ TEST(LintFixtureTest, SwallowedCatch) {
                                    {"swallowed-catch", 13}}));
 }
 
+TEST(LintFixtureTest, X86IntrinsicsOutsideTheAvx2Kernels) {
+  std::string content = ReadFixture("x86_intrinsics.cc");
+  EXPECT_EQ(RuleLines(LintSource("fixture/x86_intrinsics.cc", content)),
+            (std::vector<RuleLine>{{"x86-intrinsics", 2},
+                                   {"x86-intrinsics", 3},
+                                   {"x86-intrinsics", 4}}));
+  // The runtime-dispatched kernels are the one home of intrinsics.
+  EXPECT_TRUE(LintSource("src/common/matmul_avx2.cc", content).empty());
+  EXPECT_TRUE(
+      LintSource("/abs/path/src/common/gather_avx2.cc", content).empty());
+  EXPECT_EQ(LintSource("src/common/matrix.cc", content).size(), 3u);
+  EXPECT_EQ(LintSource("src/ml/decision_tree_avx2.cc", content).size(), 3u);
+  EXPECT_EQ(LintSource("src/common/matmul_avx2.h", content).size(), 3u);
+}
+
 TEST(LintFixtureTest, CleanFixtureHasNoFindings) {
   Options score;
   score.score_path = true;  // Strictest classification.
@@ -128,7 +143,8 @@ TEST(LintFixtureTest, EveryFixtureRuleIsRegistered) {
   for (const char* rule :
        {"random-device", "libc-rand", "time-seed", "wallclock-now",
         "unseeded-mt19937", "unordered-iteration", "status-nodiscard",
-        "raw-new", "raw-delete", "raw-thread", "swallowed-catch"}) {
+        "raw-new", "raw-delete", "raw-thread", "swallowed-catch",
+        "x86-intrinsics"}) {
     EXPECT_NE(std::find(ids.begin(), ids.end(), rule), ids.end())
         << rule << " missing from RuleIds()";
   }

@@ -440,6 +440,31 @@ void CheckSwallowedCatch(const RuleContext& ctx) {
   }
 }
 
+// Flags an include of an x86 intrinsics header (every one is named
+// *intrin.h: mmintrin, emmintrin, immintrin, x86intrin, ...) outside the
+// AVX2 kernel translation units, the only files built with arch flags and
+// reached only through the runtime dispatch of common/simd.h.
+void CheckX86Intrinsics(const RuleContext& ctx) {
+  std::string_view label = ctx.label;
+  size_t slash = label.rfind('/');
+  std::string_view dir =
+      slash == std::string_view::npos ? "" : label.substr(0, slash + 1);
+  if (EndsWith(dir, "src/common/") && EndsWith(label, "_avx2.cc")) return;
+  static const std::regex kInclude(
+      R"(^\s*#\s*include\s*<([A-Za-z0-9_]*intrin)\.h>)");
+  for (size_t i = 0; i < ctx.code_lines.size(); ++i) {
+    std::smatch m;
+    if (!std::regex_search(ctx.code_lines[i], m, kInclude)) continue;
+    // Appended piecewise: GCC 12 warns (-Wrestrict) on "<" + str().
+    std::string message = "<";
+    message += m[1].str();
+    message +=
+        ".h> outside src/common/*_avx2.cc; put x86 kernels there behind "
+        "the runtime dispatch, or use portable vector extensions";
+    ctx.Emit("x86-intrinsics", static_cast<int>(i) + 1, message);
+  }
+}
+
 bool HasLintableExtension(const std::filesystem::path& path) {
   std::string ext = path.extension().string();
   return ext == ".cc" || ext == ".h";
@@ -454,7 +479,7 @@ const std::vector<std::string>& RuleIds() {
       "unseeded-mt19937", "unordered-iteration",
       "status-nodiscard", "raw-new",
       "raw-delete",      "raw-thread",
-      "swallowed-catch",
+      "swallowed-catch", "x86-intrinsics",
   };
   return kIds;
 }
@@ -481,6 +506,7 @@ std::vector<Finding> LintSource(std::string_view label,
   CheckStatusNodiscard(ctx);
   CheckRawMemoryAndThreads(ctx);
   CheckSwallowedCatch(ctx);
+  CheckX86Intrinsics(ctx);
 
   std::vector<Finding> kept;
   kept.reserve(findings.size());

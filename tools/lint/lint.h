@@ -35,6 +35,11 @@ namespace lint {
 //   raw-thread         std::thread outside src/common/thread_pool.*
 //   swallowed-catch    catch (...) whose body neither rethrows, returns,
 //                      logs nor aborts — the exception vanishes
+//   x86-intrinsics     an x86 intrinsics header (<immintrin.h>,
+//                      <emmintrin.h>, <x86intrin.h>, ...) outside
+//                      src/common/*_avx2.cc, the runtime-dispatched kernels;
+//                      other code is portable (GCC/Clang vector extensions
+//                      where it wants lanes)
 //
 // Suppression: `// bhpo-lint: allow(rule-a, rule-b)` on the offending
 // line, or on a comment-only line immediately above it. A directory is
